@@ -252,6 +252,8 @@ def _print_report(report: RunReport) -> None:
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     suite = SUITES[args.suite]
     kwargs = {"n": args.n, "k": args.k, "jobs": args.jobs}
     if args.suite in ("promotion-shell", "evacuation-shell", "eq2-oracle"):

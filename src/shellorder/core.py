@@ -219,6 +219,16 @@ class FacetSequence:
         _check_homogeneous(items, "sequence")
         object.__setattr__(self, "items", items)
 
+    @classmethod
+    def _trusted(cls, items: tuple) -> "FacetSequence":
+        """Wrap ``items`` without re-validating them.
+
+        Only for a rearrangement or prefix of the items of a sequence that
+        was already validated, which is again a valid sequence."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "items", items)
+        return seq
+
     def support(self) -> frozenset:
         return frozenset(self.items)
 
@@ -234,29 +244,41 @@ class FacetSequence:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """A simple undirected graph on the vertex set {1, ..., order}."""
+    """A simple undirected graph on the vertex set {1, ..., order}.
+
+    ``rows[v]`` has bit u set iff u and v are adjacent (``rows[0]`` is 0);
+    it is derived from ``edges`` and takes no part in equality."""
 
     order: int
     edges: frozenset[tuple[int, int]]
+    rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValueError(f"graph order must be positive, got {self.order}")
         norm = set()
+        rows = [0] * (self.order + 1)
         for a, b in self.edges:
             if a == b:
                 raise ValueError(f"loop at vertex {a}")
             if not (1 <= a <= self.order and 1 <= b <= self.order):
                 raise ValueError(f"edge ({a}, {b}) leaves [{self.order}]")
-            norm.add((min(a, b), max(a, b)))
+            norm.add((a, b) if a < b else (b, a))
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
         object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "rows", tuple(rows))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
+        if not (1 <= a <= self.order and 1 <= b <= self.order):
+            return False
+        return bool(self.rows[a] >> b & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        out = [b if a == v else a for a, b in self.edges if v in (a, b)]
-        return tuple(sorted(out))
+        if not 1 <= v <= self.order:
+            return ()
+        row = self.rows[v]
+        return tuple(u for u in range(1, self.order + 1) if row >> u & 1)
 
 
 def sort_to_ksubset(x: FlagTuple) -> KSubset:

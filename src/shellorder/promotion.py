@@ -28,13 +28,15 @@ class GraphKind(Enum):
 
 def track(graph: LabeledGraph) -> Track:
     """Greedy path: from each vertex, step to its least larger neighbor."""
+    rows = graph.rows
+    v = 1
     vertices = [1]
     while True:
-        v = vertices[-1]
-        bigger = [u for u in graph.neighbors(v) if u > v]
+        bigger = rows[v] >> (v + 1)  # bit p: neighbor v + 1 + p
         if not bigger:
             return tuple(vertices)
-        vertices.append(min(bigger))
+        v += (bigger & -bigger).bit_length()
+        vertices.append(v)
 
 
 def promotion_permutation(graph: LabeledGraph) -> PositionPermutation:
@@ -55,10 +57,14 @@ def apply_positions(sigma: PositionPermutation, seq: FacetSequence) -> FacetSequ
         raise ValueError(f"permutation length {len(sigma)} != sequence length {h}")
     if sorted(sigma) != list(range(1, h + 1)):
         raise ValueError(f"{sigma} is not a bijection of [{h}]")
-    out: list = [None] * h
-    for i, item in enumerate(seq.items):
+    return FacetSequence(_rearranged(sigma, seq.items))
+
+
+def _rearranged(sigma: PositionPermutation, items: tuple) -> tuple:
+    out: list = [None] * len(items)
+    for i, item in enumerate(items):
         out[sigma[i] - 1] = item
-    return FacetSequence(tuple(out))
+    return tuple(out)
 
 
 def _default_order(seq: FacetSequence) -> OrderKind:
@@ -93,7 +99,8 @@ def promote(
     kind: GraphKind = GraphKind.DUAL,
     order: OrderKind | None = None,
 ) -> FacetSequence:
-    return apply_positions(promotion_permutation(graph_of(seq, kind, order)), seq)
+    sigma = promotion_permutation(graph_of(seq, kind, order))
+    return FacetSequence._trusted(_rearranged(sigma, seq.items))
 
 
 def elementary_move(
@@ -110,7 +117,7 @@ def elementary_move(
         return seq
     items = list(seq.items)
     items[i - 1], items[i] = items[i], items[i - 1]
-    return FacetSequence(tuple(items))
+    return FacetSequence._trusted(tuple(items))
 
 
 def promote_via_moves(seq: FacetSequence) -> FacetSequence:
@@ -131,9 +138,9 @@ def r_promote(
     h = len(seq)
     if not 1 <= r <= h:
         raise ValueError(f"prefix length {r} not within [1, {h}]")
-    prefix = FacetSequence(seq.items[:r])
+    prefix = FacetSequence._trusted(seq.items[:r])
     promoted = promote(prefix, kind, order)
-    return FacetSequence(promoted.items + seq.items[r:])
+    return FacetSequence._trusted(promoted.items + seq.items[r:])
 
 
 def evacuate(

@@ -63,19 +63,32 @@ def facet_masks(items: tuple) -> tuple[list[int], int]:
 def is_shelling_order(seq: FacetSequence) -> ShellingWitness:
     """Check the gluing condition for every pair i < j.
 
-    For each pair the certifying z is searched descending from j - 1; the
-    first failure (least j, then least i) stops the scan.
+    Ridge-vertex form: a ridge of F_j is an earlier facet F_z meeting it
+    in k - 1 vertices, so it misses exactly one vertex of F_j.  Per j,
+    the latest ridge missing each vertex is recorded.  F_j glues onto
+    F_i's overlap along F_z iff F_z misses a vertex of F_j outside F_i,
+    so the certificate z for (i, j) is the latest recorded ridge over the
+    vertices of F_j minus F_i.  The first failure (least j, then least i)
+    stops the scan.  O(h^2 k) mask operations.
     """
     masks, k = facet_masks(seq.items)
     h = len(masks)
     certs: list[tuple[int, int, int]] = []
     for j in range(1, h):
         bj = masks[j]
+        ridges: list[tuple[int, int]] = []  # (missed vertex bit, z), latest first
+        seen = 0
+        for z in range(j - 1, -1, -1):
+            missed = bj & ~masks[z]
+            if missed.bit_count() == 1 and not seen & missed:
+                seen |= missed
+                ridges.append((missed, z))
+                if len(ridges) == k:
+                    break
         for i in range(j):
-            need = masks[i] & bj
-            for z in range(j - 1, -1, -1):
-                inter = masks[z] & bj
-                if inter.bit_count() == k - 1 and need & ~inter == 0:
+            outside = bj & ~masks[i]
+            for missed, z in ridges:
+                if outside & missed:
                     certs.append((i + 1, j + 1, z + 1))
                     break
             else:
@@ -84,15 +97,17 @@ def is_shelling_order(seq: FacetSequence) -> ShellingWitness:
 
 
 def _append_ok(placed: list[int], cand: int, k: int) -> bool:
-    # Valid next facet: every earlier overlap sits inside some ridge overlap.
+    # Ridge-vertex form of is_shelling_order's test for one new facet:
+    # every earlier facet must miss a vertex of cand that some ridge misses.
     if not placed:
         return True
-    ridges = [m & cand for m in placed if (m & cand).bit_count() == k - 1]
-    if not ridges:
-        return False
+    ridge_missed = 0
     for m in placed:
-        need = m & cand
-        if not any(need & ~r == 0 for r in ridges):
+        inter = m & cand
+        if inter.bit_count() == k - 1:
+            ridge_missed |= cand & ~inter
+    for m in placed:
+        if not cand & ~m & ridge_missed:
             return False
     return True
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -111,9 +112,10 @@ def _chunks(total: int, pieces: int = 64) -> list[tuple[int, int]]:
 
 
 def _run_chunked(worker, args_list: list, jobs: int) -> list:
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(args_list))
+    if workers <= 1:
         return [worker(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args_list))
 
 

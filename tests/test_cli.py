@@ -11,6 +11,7 @@ from shellorder import (
     all_flag_tuples,
     all_ksubsets,
 )
+from shellorder import suites
 from shellorder.cli import export_dot, main, parse_input, serialize
 from shellorder.promotion import GraphKind
 
@@ -297,6 +298,42 @@ class TestVerifyCommand:
             == 0
         )
         assert capsys.readouterr().out == sequential
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, jobs, capsys):
+        argv = ["verify", "remark-bruhat-graph", "--n", "4", "--k", "2", "--jobs", jobs]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: --jobs must be at least 1" in captured.err
+        assert captured.out == ""
+
+    def test_pool_size_is_capped(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(suites.os, "cpu_count", lambda: 3)
+        assert suites._run_chunked(abs, [-1, -2, -3, -4], 8) == [1, 2, 3, 4]
+        assert suites._run_chunked(abs, [-1, -2], 8) == [1, 2]
+        assert suites._run_chunked(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
+        assert sizes == [3, 2, 2]
+        # one worker's worth of work runs in-process, with no pool
+        assert suites._run_chunked(abs, [-1], 8) == [1]
+        monkeypatch.setattr(suites.os, "cpu_count", lambda: None)
+        assert suites._run_chunked(abs, [-1, -2], 8) == [1, 2]
+        assert sizes == [3, 2, 2]
 
 
 def test_module_entry_point(tmp_path):

@@ -125,6 +125,22 @@ class TestLabeledGraph:
         assert g.neighbors(2) == (1, 3, 4)
         assert g.neighbors(3) == (2,)
 
+    def test_out_of_range_lookups(self):
+        g = LabeledGraph(4, frozenset({(1, 2), (2, 4), (2, 3)}))
+        assert g.has_edge(0, 1) is False
+        assert g.has_edge(2, -1) is False
+        assert g.has_edge(2, g.order + 5) is False
+        assert g.neighbors(g.order + 5) == ()
+        assert g.neighbors(0) == () and g.neighbors(-1) == ()
+
+    def test_rows_outside_equality_hash_and_repr(self):
+        g = LabeledGraph(3, frozenset({(2, 1)}))
+        assert g.rows == (0, 0b100, 0b010, 0)
+        assert repr(g) == "LabeledGraph(order=3, edges=frozenset({(1, 2)}))"
+        other = LabeledGraph(3, frozenset({(1, 2)}))
+        object.__setattr__(other, "rows", ())
+        assert g == other and hash(g) == hash(other)
+
 
 def test_sort_to_ksubset_full_permutation():
     x = FlagTuple(7, (4, 3, 1, 7, 6, 2, 5))
