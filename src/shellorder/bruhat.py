@@ -25,6 +25,7 @@ from .core import (
     all_permutations,
     canonical_key,
 )
+from .shelling import _walk_orders
 
 
 class OrderKind(Enum):
@@ -198,23 +199,12 @@ def strictly_below_masks(elems: list, kind: OrderKind) -> list[int]:
 
 def linear_extensions(elements: Iterable, kind: OrderKind) -> Iterator[FacetSequence]:
     """Every linear extension exactly once, minimal candidates tried in
-    canonical ascending order at each step."""
+    canonical ascending order at each step.  The walk is iterative, so
+    the number of elements is not bounded by the recursion limit."""
     elems = sorted(set(elements), key=canonical_key)
     if not elems:
         raise ValueError("cannot extend an empty set")
-    h = len(elems)
-    below = strictly_below_masks(elems, kind)
-    acc: list = []
-
-    def rec(placed: int) -> Iterator[FacetSequence]:
-        if len(acc) == h:
-            yield FacetSequence(tuple(acc))
-            return
-        for t in range(h):
-            bit = 1 << t
-            if not placed & bit and below[t] & ~placed == 0:
-                acc.append(elems[t])
-                yield from rec(placed | bit)
-                acc.pop()
-
-    return rec(0)
+    return (
+        FacetSequence(tuple(elems[t] for t in order))
+        for order, _ in _walk_orders(strictly_below_masks(elems, kind))
+    )

@@ -148,22 +148,10 @@ def _cmd_check_flag_shelling(args) -> int:
     return _verdict(is_flag_shelling_order(seq))
 
 
-def _cmd_check_matroid(args) -> int:
+def _cmd_check_exchange(args) -> int:
     complex_ = load_input(args.file)
-    verdict = is_matroid(complex_)
-    if verdict.holds:
-        return _verdict(True)
-    w = verdict.witness
-    return _verdict(
-        False,
-        f": element {w.element} of {_facet_line(w.first)} has no exchange"
-        f" into {_facet_line(w.second)}",
-    )
-
-
-def _cmd_check_quasi_exchange(args) -> int:
-    complex_ = load_input(args.file)
-    verdict = has_quasi_exchange(complex_)
+    check = is_matroid if args.command == "check-matroid" else has_quasi_exchange
+    verdict = check(complex_)
     if verdict.holds:
         return _verdict(True)
     w = verdict.witness
@@ -285,10 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
             _cmd_check_flag_shelling,
             "is the tuple sequence a flag shelling order",
         ),
-        ("check-matroid", _cmd_check_matroid, "does the family satisfy basis exchange"),
+        ("check-matroid", _cmd_check_exchange, "does the family satisfy basis exchange"),
         (
             "check-quasi-exchange",
-            _cmd_check_quasi_exchange,
+            _cmd_check_exchange,
             "does the family satisfy quasi-exchange",
         ),
         (

@@ -45,40 +45,20 @@ def _sorted_ksubsets(facets: Iterable) -> list[KSubset]:
     return elems
 
 
-def is_matroid(facets: Iterable[KSubset]) -> MatroidVerdict:
-    """Basis exchange: every a in A\\B trades for some b in B\\A inside the family."""
-    elems = _sorted_ksubsets(facets)
-    masks = {x.mask for x in elems}
-    for a_set in elems:
-        for b_set in elems:
-            cut = a_set.mask & ~b_set.mask
-            if not cut:
-                continue
-            swap_in = b_set.mask & ~a_set.mask
-            for a in a_set.members:
-                abit = 1 << (a - 1)
-                if not cut & abit:
-                    continue
-                base = a_set.mask ^ abit
-                if not any(
-                    base | (1 << (b - 1)) in masks
-                    for b in b_set.members
-                    if swap_in >> (b - 1) & 1
-                ):
-                    return MatroidVerdict(False, ExchangeWitness(a_set, b_set, a))
-    return MatroidVerdict(True)
-
-
-def has_quasi_exchange(facets: Iterable[KSubset]) -> MatroidVerdict:
-    """Exchange demanded only for i in x\\y exceeding max(y\\x)."""
+def _exchange(facets: Iterable[KSubset], quasi: bool) -> MatroidVerdict:
+    """Every i in x\\y above a threshold trades for some j in y\\x inside
+    the family.  The threshold is 0 for basis exchange and max(y\\x) for
+    quasi-exchange; when y\\x is empty, quasi-exchange demands nothing
+    (no i exceeds the maximum of the empty set) while basis exchange
+    fails on any i in x\\y."""
     elems = _sorted_ksubsets(facets)
     masks = {x.mask for x in elems}
     for x in elems:
         for y in elems:
             gain = y.mask & ~x.mask
-            if not gain:
+            if quasi and not gain:
                 continue
-            top = gain.bit_length()  # max(y\x), 1-indexed
+            top = gain.bit_length() if quasi else 0  # quasi: max(y\x), 1-indexed
             for i in x.members:
                 if i <= top or y.mask >> (i - 1) & 1:
                     continue
@@ -90,6 +70,16 @@ def has_quasi_exchange(facets: Iterable[KSubset]) -> MatroidVerdict:
                 ):
                     return MatroidVerdict(False, ExchangeWitness(x, y, i))
     return MatroidVerdict(True)
+
+
+def is_matroid(facets: Iterable[KSubset]) -> MatroidVerdict:
+    """Basis exchange: every a in A\\B trades for some b in B\\A inside the family."""
+    return _exchange(facets, quasi=False)
+
+
+def has_quasi_exchange(facets: Iterable[KSubset]) -> MatroidVerdict:
+    """Exchange demanded only for i in x\\y exceeding max(y\\x)."""
+    return _exchange(facets, quasi=True)
 
 
 def unique_maximum(elements: Iterable, kind: OrderKind):

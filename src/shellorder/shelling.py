@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from random import Random
 from typing import Iterator, Optional
 
 from .core import (
@@ -112,6 +111,51 @@ def _append_ok(placed: list[int], cand: int, k: int) -> bool:
     return True
 
 
+def _walk_orders(
+    below: list[int], masks: Optional[list[int]] = None, k: int = 0
+) -> Iterator[tuple[list[int], bool]]:
+    """Depth-first walk over the orders of indices 0..h-1 that place every
+    index after all of its below-mask, candidates tried in ascending index.
+
+    With facet masks, a candidate must also pass ``_append_ok`` against
+    the facets already placed.  Yields ``(order, True)`` for each full
+    order and ``(prefix, False)`` for each rejected prefix (ending in the
+    rejected candidate), whose branch is pruned.  A full order is the
+    walker's own list: copy it before resuming.  The stack is explicit,
+    so h is not bounded by the recursion limit.
+    """
+    h = len(below)
+    order: list[int] = []
+    placed: list[int] = []
+    used = t = 0
+    while True:
+        while t < h:  # the next candidate at this depth, from t on
+            bit = 1 << t
+            if not used & bit and not below[t] & ~used:
+                if masks is None or _append_ok(placed, masks[t], k):
+                    break
+                yield order + [t], False
+            t += 1
+        else:  # none left: backtrack and resume after the last placed
+            if not order:
+                return
+            t = order.pop()
+            used ^= 1 << t
+            if masks is not None:
+                placed.pop()
+            t += 1
+            continue
+        order.append(t)
+        used |= bit
+        if masks is not None:
+            placed.append(masks[t])
+        if len(order) < h:
+            t = 0
+        else:
+            yield order, True
+            t = h  # exhausted: backtrack
+
+
 def shelling_orders(complex_: PureComplex) -> Iterator[FacetSequence]:
     """Every shelling order of the complex, candidates in canonical order.
 
@@ -122,62 +166,16 @@ def shelling_orders(complex_: PureComplex) -> Iterator[FacetSequence]:
     if not facets:
         raise ValueError("empty complex has no facet orders")
     masks, k = facet_masks(tuple(facets))
-    h = len(facets)
-    order: list[int] = []
-    placed: list[int] = []
-
-    def rec(used: int) -> Iterator[FacetSequence]:
-        if len(order) == h:
-            yield FacetSequence(tuple(facets[t] for t in order))
-            return
-        for t in range(h):
-            if used >> t & 1:
-                continue
-            if _append_ok(placed, masks[t], k):
-                order.append(t)
-                placed.append(masks[t])
-                yield from rec(used | 1 << t)
-                order.pop()
-                placed.pop()
-
-    return rec(0)
+    return (
+        FacetSequence(tuple(facets[t] for t in order))
+        for order, ok in _walk_orders([0] * len(facets), masks, k)
+        if ok
+    )
 
 
-def find_shelling_order(
-    complex_: PureComplex, rng: Random | None = None
-) -> Optional[FacetSequence]:
-    """First shelling order found, or None.
-
-    Deterministic (canonical candidate order) unless an rng is supplied to
-    shuffle candidates, for sampling harnesses.
-    """
-    facets = sorted(complex_, key=canonical_key)
-    if not facets:
-        raise ValueError("empty complex has no facet orders")
-    masks, k = facet_masks(tuple(facets))
-    h = len(facets)
-    order: list[int] = []
-    placed: list[int] = []
-
-    def rec(used: int) -> bool:
-        if len(order) == h:
-            return True
-        candidates = [t for t in range(h) if not used >> t & 1]
-        if rng is not None:
-            rng.shuffle(candidates)
-        for t in candidates:
-            if _append_ok(placed, masks[t], k):
-                order.append(t)
-                placed.append(masks[t])
-                if rec(used | 1 << t):
-                    return True
-                order.pop()
-                placed.pop()
-        return False
-
-    if rec(0):
-        return FacetSequence(tuple(facets[t] for t in order))
-    return None
+def find_shelling_order(complex_: PureComplex) -> Optional[FacetSequence]:
+    """The first of ``shelling_orders`` (canonical candidate order), or None."""
+    return next(shelling_orders(complex_), None)
 
 
 def dual_graph(seq: FacetSequence) -> LabeledGraph:

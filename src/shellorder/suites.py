@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .bruhat import (
     OrderKind,
@@ -44,6 +44,7 @@ from .matroid import (
 from .promotion import GraphKind, promote, promote_via_moves, evacuate
 from .shelling import (
     _append_ok,
+    _walk_orders,
     facet_masks,
     is_shelling_order,
     shelling_orders,
@@ -119,6 +120,20 @@ def _run_chunked(worker, args_list: list, jobs: int) -> list:
         return list(pool.map(worker, args_list))
 
 
+def _tally(verdicts: Iterable[Optional[str]]) -> tuple[int, int, Optional[str]]:
+    """(checks, failures, first counterexample) over one verdict per
+    check: None when the check passes, else its counterexample."""
+    checks = failures = 0
+    first: Optional[str] = None
+    for bad in verdicts:
+        checks += 1
+        if bad is not None:
+            failures += 1
+            if first is None:
+                first = bad
+    return checks, failures, first
+
+
 def _merge(suite: str, parts: list, started: float, instances: int) -> RunReport:
     checks = sum(p[0] for p in parts)
     failures = sum(p[1] for p in parts)
@@ -126,181 +141,140 @@ def _merge(suite: str, parts: list, started: float, instances: int) -> RunReport
     return RunReport(suite, instances, checks, failures, first, time.perf_counter() - started)
 
 
-def _walk_extensions_checking(
-    below: list[int], fmasks: list[int], k: int, describe
-) -> tuple[int, int, Optional[str]]:
-    """Enumerate all linear extensions given per-index below-masks and
-    verify the shelling condition incrementally at every append.
+def _extension_verdicts(
+    elems: list, kind: OrderKind, fmasks: list[int], k: int, describe
+) -> Iterator[Optional[str]]:
+    """One verdict per linear extension of the sorted ``elems``, with the
+    shelling condition on ``fmasks`` checked at every append.
 
     A failed append dooms every completion of that prefix, so the branch
-    is counted once and pruned.  Returns (extensions checked, failures,
-    first counterexample)."""
-    h = len(below)
-    checks = failures = 0
-    first: Optional[str] = None
-    prefix: list[int] = []
-    placed: list[int] = []
+    is pruned and counts as one failed check; its counterexample is
+    ``describe`` of the formatted prefix."""
+    return (
+        None if ok else describe(_fmt_seq(elems[t] for t in order))
+        for order, ok in _walk_orders(strictly_below_masks(elems, kind), fmasks, k)
+    )
 
-    def rec(used: int) -> None:
-        nonlocal checks, failures, first
-        if len(prefix) == h:
-            checks += 1
-            return
-        for t in range(h):
-            bit = 1 << t
-            if used & bit or below[t] & ~used:
-                continue
-            if _append_ok(placed, fmasks[t], k):
-                prefix.append(t)
-                placed.append(fmasks[t])
-                rec(used | bit)
-                prefix.pop()
-                placed.pop()
-            else:
-                checks += 1
-                failures += 1
-                if first is None:
-                    first = describe(prefix + [t])
 
-    rec(0)
-    return checks, failures, first
+# --- subset sweeps ----------------------------------------------------------
+#
+# A subset sweep visits families given as bitmasks over a universe.  Its
+# set-up runs once per chunk, in the worker, and returns the per-family
+# check: a function from a nonempty family mask to its verdicts.
+# ``_FAMILY_SWEEPS`` names each sweep's families and set-up.
+
+
+def _family_chunk(args: tuple) -> tuple[int, int, Optional[str]]:
+    suite, n, k, families = args
+    check = _FAMILY_SWEEPS[suite][1](n, k)
+    # the empty family has nothing to check
+    return _tally(itertools.chain.from_iterable(check(m) for m in families if m))
+
+
+def _sweep_families(suite: str, n: int, k: int, jobs: int) -> RunReport:
+    _guard_exhaustive(n)
+    started = time.perf_counter()
+    families = _FAMILY_SWEEPS[suite][0](n, k)
+    args = [(suite, n, k, families[lo:hi]) for lo, hi in _chunks(len(families))]
+    parts = _run_chunked(_family_chunk, args, jobs)
+    return _merge(suite, parts, started, len(families))
+
+
+def _ksubset_families(n: int, k: int) -> range:
+    return range(1 << sum(1 for _ in all_ksubsets(n, k)))
 
 
 # --- extensions-shell -------------------------------------------------------
 
 
-def _extensions_shell_chunk(args: tuple) -> tuple[int, int, Optional[str]]:
-    n, k, lo, hi = args
+def _extensions_shell_setup(n: int, k: int):
     facets = list(all_ksubsets(n, k))
-    checks = failures = 0
-    first: Optional[str] = None
-    for mask in range(lo, hi):
+
+    def check(mask: int) -> Iterable[Optional[str]]:
         X = [facets[t] for t in _bits(mask)]
-        if not X:
-            continue
         if not has_quasi_exchange(X).holds:
             # matroids and order ideals always have quasi-exchange
             if is_matroid(X).holds or is_order_ideal(X, OrderKind.GALE):
-                checks += 1
-                failures += 1
-                if first is None:
-                    first = f"matroid/ideal without quasi-exchange: {_fmt_set(X)}"
-            continue
+                return [f"matroid/ideal without quasi-exchange: {_fmt_set(X)}"]
+            return []
         elems = sorted(X, key=canonical_key)
-        below = strictly_below_masks(elems, OrderKind.GALE)
-        fmasks = [x.mask for x in elems]
+        return _extension_verdicts(
+            elems,
+            OrderKind.GALE,
+            [x.mask for x in elems],
+            k,
+            lambda prefix: (
+                f"X={_fmt_set(X)} extension prefix {prefix} is not a shelling prefix"
+            ),
+        )
 
-        def describe(prefix_idx, elems=elems, X=X):
-            return (
-                f"X={_fmt_set(X)} extension prefix "
-                f"{_fmt_seq(elems[t] for t in prefix_idx)} is not a shelling prefix"
-            )
-
-        c, f, cex = _walk_extensions_checking(below, fmasks, k, describe)
-        checks += c
-        failures += f
-        if first is None:
-            first = cex
-    return checks, failures, first
+    return check
 
 
 def extensions_shell(n: int, k: int, jobs: int = 1) -> RunReport:
     """Every subset with the quasi-exchange property: each of its linear
     extensions must be a shelling order."""
-    _guard_exhaustive(n)
-    started = time.perf_counter()
-    total = 1 << sum(1 for _ in all_ksubsets(n, k))
-    args = [(n, k, lo, hi) for lo, hi in _chunks(total)]
-    parts = _run_chunked(_extensions_shell_chunk, args, jobs)
-    return _merge("extensions-shell", parts, started, total)
+    return _sweep_families("extensions-shell", n, k, jobs)
 
 
 # --- barycentric-coxeter ----------------------------------------------------
 
 
-def _barycentric_coxeter_chunk(args: tuple) -> tuple[int, int, Optional[str]]:
-    n, k, lo, hi = args
+def _barycentric_coxeter_setup(n: int, k: int):
     facets = list(all_ksubsets(n, k))
-    checks = failures = 0
-    first: Optional[str] = None
-    for mask in range(lo, hi):
+
+    def check(mask: int) -> Iterable[Optional[str]]:
         X = [facets[t] for t in _bits(mask)]
-        if not X:
-            continue
-        checks += 1
         lhs = is_matroid(X).holds
         rhs = is_coxeter_matroid(barycentric(PureComplex.of(X)))
         if lhs != rhs:
-            failures += 1
-            if first is None:
-                first = (
-                    f"X={_fmt_set(X)}: exchange={lhs} but subdivision maximality={rhs}"
-                )
-    return checks, failures, first
+            return [f"X={_fmt_set(X)}: exchange={lhs} but subdivision maximality={rhs}"]
+        return [None]
+
+    return check
 
 
 def barycentric_coxeter(n: int, k: int, jobs: int = 1) -> RunReport:
     """Exchange property of X must coincide with the maximality property
     of its barycentric subdivision, for every subset."""
-    _guard_exhaustive(n)
-    started = time.perf_counter()
-    total = 1 << sum(1 for _ in all_ksubsets(n, k))
-    args = [(n, k, lo, hi) for lo, hi in _chunks(total)]
-    parts = _run_chunked(_barycentric_coxeter_chunk, args, jobs)
-    return _merge("barycentric-coxeter", parts, started, total)
+    return _sweep_families("barycentric-coxeter", n, k, jobs)
 
 
 # --- conf-ideals-flagshell --------------------------------------------------
 
 
-def _conf_ideals_chunk(args: tuple) -> tuple[int, int, Optional[str]]:
-    n, k, lo, hi = args
+def _flag_tuple_families(n: int, k: int) -> range:
+    return range(1 << sum(1 for _ in all_flag_tuples(n, k)))
+
+
+def _conf_ideals_setup(n: int, k: int):
     elems_all = list(all_flag_tuples(n, k))
-    m = len(elems_all)
     below_all = strictly_below_masks(elems_all, OrderKind.CONF)
-    checks = failures = 0
-    first: Optional[str] = None
-    for mask in range(lo, hi):
-        if not mask:
-            continue
+
+    def check(mask: int) -> Iterable[Optional[str]]:
         idx = _bits(mask)
         # downward closed in the ambient quotient
         if any(below_all[t] & ~mask for t in idx):
-            continue
+            return []
         elems = sorted((elems_all[t] for t in idx), key=canonical_key)
-        below = strictly_below_masks(elems, OrderKind.CONF)
-        # intern flag vertices across the ideal
-        vertex_index: dict[KSubset, int] = {}
-        fmasks = []
-        for y in elems:
-            fm = 0
-            for v in flag_facet(y):
-                fm |= 1 << vertex_index.setdefault(v, len(vertex_index))
-            fmasks.append(fm)
+        fmasks, size = facet_masks(tuple(flag_facet(y) for y in elems))
+        return _extension_verdicts(
+            elems,
+            OrderKind.CONF,
+            fmasks,
+            size,
+            lambda prefix: (
+                f"Y={_fmt_set(elems)} extension prefix {prefix} is not a flag shelling prefix"
+            ),
+        )
 
-        def describe(prefix_idx, elems=elems):
-            return (
-                f"Y={_fmt_set(elems)} extension prefix "
-                f"{_fmt_seq(elems[t] for t in prefix_idx)} is not a flag shelling prefix"
-            )
-
-        c, f, cex = _walk_extensions_checking(below, fmasks, k, describe)
-        checks += c
-        failures += f
-        if first is None:
-            first = cex
-    return checks, failures, first
+    return check
 
 
 def conf_ideals_flagshell(n: int, k: int, jobs: int = 1) -> RunReport:
     """Every order ideal of the configuration quotient: each of its linear
     extensions must be a flag shelling order."""
-    _guard_exhaustive(n)
-    started = time.perf_counter()
-    total = 1 << sum(1 for _ in all_flag_tuples(n, k))
-    args = [(n, k, lo, hi) for lo, hi in _chunks(total)]
-    parts = _run_chunked(_conf_ideals_chunk, args, jobs)
-    return _merge("conf-ideals-flagshell", parts, started, total)
+    return _sweep_families("conf-ideals-flagshell", n, k, jobs)
 
 
 # --- shelling-order corpus (promotion / evacuation / eq2 / swap) ------------
@@ -399,21 +373,16 @@ CORPUS_CHECKS = {
 }
 
 
+def _check_corpus(
+    corpus: Iterable[FacetSequence], check_names: tuple[str, ...]
+) -> tuple[int, int, Optional[str]]:
+    fns = [CORPUS_CHECKS[name] for name in check_names]
+    return _tally(fn(seq) for seq in corpus for fn in fns)
+
+
 def _corpus_chunk(args: tuple) -> tuple[int, int, Optional[str]]:
     n, k, max_facets, lo, hi, check_names = args
-    corpus = exhaustive_corpus(n, k, max_facets)
-    checks = failures = 0
-    first: Optional[str] = None
-    fns = [CORPUS_CHECKS[name] for name in check_names]
-    for seq in corpus[lo:hi]:
-        for fn in fns:
-            checks += 1
-            cex = fn(seq)
-            if cex is not None:
-                failures += 1
-                if first is None:
-                    first = cex
-    return checks, failures, first
+    return _check_corpus(exhaustive_corpus(n, k, max_facets)[lo:hi], check_names)
 
 
 def sweep_shelling_corpus(
@@ -434,20 +403,7 @@ def sweep_shelling_corpus(
     started = time.perf_counter()
     if samples > 0:
         corpus = random_corpus(n, k, samples, seed, max_facets)
-        checks = failures = 0
-        first: Optional[str] = None
-        fns = [CORPUS_CHECKS[name] for name in check_names]
-        for seq in corpus:
-            for fn in fns:
-                checks += 1
-                cex = fn(seq)
-                if cex is not None:
-                    failures += 1
-                    if first is None:
-                        first = cex
-        return RunReport(
-            suite, len(corpus), checks, failures, first, time.perf_counter() - started
-        )
+        return _merge(suite, [_check_corpus(corpus, check_names)], started, len(corpus))
     _guard_exhaustive(n)
     corpus_len = len(exhaustive_corpus(n, k, max_facets))
     args = [
@@ -521,59 +477,35 @@ def _ideal_and_interval_masks(n: int, k: int) -> list[int]:
     return supports
 
 
-def _hasse_vs_dual_chunk(args: tuple) -> tuple[int, int, Optional[str]]:
-    n, k, masks = args
+def _hasse_vs_dual_setup(n: int, k: int):
     facets = list(all_ksubsets(n, k))
-    checks = failures = 0
-    first: Optional[str] = None
-    for mask in masks:
+
+    def check(mask: int) -> Iterable[Optional[str]]:
         elems = sorted((facets[t] for t in _bits(mask)), key=canonical_key)
         cover_pairs = induced_covers(set(elems), OrderKind.GALE)
         dual_ok = all(
             (a.mask & b.mask).bit_count() == k - 1 for a, b in cover_pairs
         )
+
+        def verdict(order: list[int]) -> Optional[str]:
+            seq = FacetSequence(tuple(elems[t] for t in order))
+            if not dual_ok:
+                return f"cover pair not a ridge pair in {_fmt_set(elems)}"
+            if promote(seq, GraphKind.DUAL) != promote(seq, GraphKind.HASSE):
+                return f"promotions disagree on extension {_fmt_seq(seq)}"
+            return None
+
         below = strictly_below_masks(elems, OrderKind.GALE)
-        h = len(elems)
-        prefix: list[int] = []
+        return (verdict(order) for order, _ in _walk_orders(below))
 
-        def rec(used: int):
-            nonlocal checks, failures, first
-            if len(prefix) == h:
-                checks += 1
-                seq = FacetSequence(tuple(elems[t] for t in prefix))
-                bad = None
-                if not dual_ok:
-                    bad = f"cover pair not a ridge pair in {_fmt_set(elems)}"
-                elif promote(seq, GraphKind.DUAL) != promote(seq, GraphKind.HASSE):
-                    bad = f"promotions disagree on extension {_fmt_seq(seq)}"
-                if bad is not None:
-                    failures += 1
-                    if first is None:
-                        first = bad
-                return
-            for t in range(h):
-                bit = 1 << t
-                if used & bit or below[t] & ~used:
-                    continue
-                prefix.append(t)
-                rec(used | bit)
-                prefix.pop()
-
-        rec(0)
-    return checks, failures, first
+    return check
 
 
 def hasse_vs_dual(n: int, k: int, jobs: int = 1) -> RunReport:
     """On every order ideal and every interval, the induced Hasse graph of
     a linear extension must be a subgraph of its dual graph and the two
     promotions must agree."""
-    _guard_exhaustive(n)
-    started = time.perf_counter()
-    supports = _ideal_and_interval_masks(n, k)
-    pieces = _chunks(len(supports))
-    args = [(n, k, tuple(supports[lo:hi])) for lo, hi in pieces]
-    parts = _run_chunked(_hasse_vs_dual_chunk, args, jobs)
-    return _merge("hasse-vs-dual", parts, started, len(supports))
+    return _sweep_families("hasse-vs-dual", n, k, jobs)
 
 
 # --- remark-bruhat-graph ----------------------------------------------------
@@ -595,40 +527,39 @@ def _transposition_neighbors(y: KSubset) -> set[KSubset]:
     return out
 
 
-def _remark_chunk(args: tuple) -> tuple[int, int, Optional[str]]:
-    n, k, lo, hi = args
+def _remark_setup(n: int, k: int):
     facets = list(all_ksubsets(n, k))
     exchange = {y: _transposition_neighbors(y) for y in facets}
-    checks = failures = 0
-    first: Optional[str] = None
-    for mask in range(lo, hi):
-        idx = _bits(mask)
-        elems = [facets[t] for t in idx]
-        for a, b in itertools.combinations(elems, 2):
-            checks += 1
-            is_ridge = (a.mask & b.mask).bit_count() == k - 1
-            via_reflection = a in exchange[b]
-            bad = None
-            if is_ridge != via_reflection:
-                bad = f"ridge/reflection mismatch on ({_fmt_facet(a)},{_fmt_facet(b)})"
-            elif is_ridge and not (gale_leq(a, b) or gale_leq(b, a)):
-                bad = f"ridge pair ({_fmt_facet(a)},{_fmt_facet(b)}) incomparable"
-            if bad is not None:
-                failures += 1
-                if first is None:
-                    first = bad
-    return checks, failures, first
+
+    def verdict(a: KSubset, b: KSubset) -> Optional[str]:
+        is_ridge = (a.mask & b.mask).bit_count() == k - 1
+        if is_ridge != (a in exchange[b]):
+            return f"ridge/reflection mismatch on ({_fmt_facet(a)},{_fmt_facet(b)})"
+        if is_ridge and not (gale_leq(a, b) or gale_leq(b, a)):
+            return f"ridge pair ({_fmt_facet(a)},{_fmt_facet(b)}) incomparable"
+        return None
+
+    def check(mask: int) -> Iterable[Optional[str]]:
+        elems = [facets[t] for t in _bits(mask)]
+        return itertools.starmap(verdict, itertools.combinations(elems, 2))
+
+    return check
 
 
 def remark_bruhat_graph(n: int, k: int, jobs: int = 1) -> RunReport:
     """Dual-graph edges must be exactly the single-exchange (reflection)
     pairs, and every edge must join comparable facets."""
-    _guard_exhaustive(n)
-    started = time.perf_counter()
-    total = 1 << sum(1 for _ in all_ksubsets(n, k))
-    args = [(n, k, lo, hi) for lo, hi in _chunks(total)]
-    parts = _run_chunked(_remark_chunk, args, jobs)
-    return _merge("remark-bruhat-graph", parts, started, total)
+    return _sweep_families("remark-bruhat-graph", n, k, jobs)
+
+
+# suite -> (its family masks, given n and k; its per-chunk set-up)
+_FAMILY_SWEEPS = {
+    "extensions-shell": (_ksubset_families, _extensions_shell_setup),
+    "barycentric-coxeter": (_ksubset_families, _barycentric_coxeter_setup),
+    "conf-ideals-flagshell": (_flag_tuple_families, _conf_ideals_setup),
+    "hasse-vs-dual": (_ideal_and_interval_masks, _hasse_vs_dual_setup),
+    "remark-bruhat-graph": (_ksubset_families, _remark_setup),
+}
 
 
 SUITES = {

@@ -191,6 +191,14 @@ class TestCommands:
 
         assert is_shelling_order(found).holds
 
+    def test_find_shelling_beyond_recursion_limit(self, tmp_path, capsys):
+        facets = list(all_ksubsets(46, 2))
+        assert len(facets) > sys.getrecursionlimit()
+        path = write(tmp_path, "k46.txt", serialize(PureComplex.of(facets)))
+        assert main(["find-shelling", path]) == 0
+        found = parse_input(capsys.readouterr().out, as_sequence=True)
+        assert len(found) == len(facets)
+
     def test_barycentric_output(self, tmp_path, capsys):
         path = write(tmp_path, "b.txt", "n=4 mode=sorted\n2 4\n3 4\n")
         assert main(["barycentric", path]) == 0

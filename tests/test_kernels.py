@@ -1,11 +1,14 @@
-"""Differential tests: the shelling and graph kernels against reference copies.
+"""Differential tests: the shelling, graph, order-walk and exchange kernels
+against reference copies.
 
 The references are the straightforward forms the kernels replaced: the
 pair-by-pair ridge scan for ``is_shelling_order``, the ridge-list test
-for ``_append_ok``, and edge-set scans for ``LabeledGraph`` lookups and
-``track``.  Sequences are random k-subset and flag-vertex sequences, most
-of them not shelling orders, plus grown shelling orders with and without
-a transposition that may break them.
+for ``_append_ok``, edge-set scans for ``LabeledGraph`` lookups and
+``track``, one recursion per enumerator for the iterative order walker,
+and separate basis-exchange and quasi-exchange scans for the shared
+exchange routine.  Sequences are random k-subset and flag-vertex
+sequences, most of them not shelling orders, plus grown shelling orders
+with and without a transposition that may break them.
 """
 
 import itertools
@@ -17,15 +20,26 @@ from shellorder import (
     FlagTuple,
     KSubset,
     LabeledGraph,
+    OrderKind,
+    PureComplex,
     elementary_move,
     evacuate,
+    find_shelling_order,
+    has_quasi_exchange,
+    is_matroid,
     is_shelling_order,
+    linear_extensions,
     promote,
     r_promote,
+    shelling_orders,
     track,
 )
-from shellorder.shelling import _append_ok, facet_masks
+from shellorder.bruhat import strictly_below_masks
+from shellorder.core import canonical_key
+from shellorder.matroid import ExchangeWitness, MatroidVerdict
+from shellorder.shelling import _append_ok, _walk_orders, facet_masks
 from shellorder.subdivision import flag_facet
+from shellorder.suites import _extension_verdicts, _fmt_seq, _tally
 
 
 def reference_is_shelling_order(seq):
@@ -181,3 +195,306 @@ def test_graph_lookups_match_edge_scan(graph):
         for b in span:
             assert graph.has_edge(a, b) is ((min(a, b), max(a, b)) in edges)
     assert track(graph) == reference_track(edges)
+
+
+# --- the order walker against the recursions it replaced -------------------
+
+
+def reference_linear_extensions(elements, kind):
+    elems = sorted(set(elements), key=canonical_key)
+    h = len(elems)
+    below = strictly_below_masks(elems, kind)
+    acc = []
+
+    def rec(placed):
+        if len(acc) == h:
+            yield FacetSequence(tuple(acc))
+            return
+        for t in range(h):
+            bit = 1 << t
+            if not placed & bit and below[t] & ~placed == 0:
+                acc.append(elems[t])
+                yield from rec(placed | bit)
+                acc.pop()
+
+    return rec(0)
+
+
+def reference_shelling_orders(complex_):
+    facets = sorted(complex_, key=canonical_key)
+    masks, k = facet_masks(tuple(facets))
+    h = len(facets)
+    order, placed = [], []
+
+    def rec(used):
+        if len(order) == h:
+            yield FacetSequence(tuple(facets[t] for t in order))
+            return
+        for t in range(h):
+            if used >> t & 1:
+                continue
+            if _append_ok(placed, masks[t], k):
+                order.append(t)
+                placed.append(masks[t])
+                yield from rec(used | 1 << t)
+                order.pop()
+                placed.pop()
+
+    return rec(0)
+
+
+def reference_find_shelling_order(complex_):
+    facets = sorted(complex_, key=canonical_key)
+    masks, k = facet_masks(tuple(facets))
+    h = len(facets)
+    order, placed = [], []
+
+    def rec(used):
+        if len(order) == h:
+            return True
+        for t in [t for t in range(h) if not used >> t & 1]:
+            if _append_ok(placed, masks[t], k):
+                order.append(t)
+                placed.append(masks[t])
+                if rec(used | 1 << t):
+                    return True
+                order.pop()
+                placed.pop()
+        return False
+
+    if rec(0):
+        return FacetSequence(tuple(facets[t] for t in order))
+    return None
+
+
+def reference_walk_extensions_checking(below, fmasks, k, describe):
+    h = len(below)
+    checks = failures = 0
+    first = None
+    prefix, placed = [], []
+
+    def rec(used):
+        nonlocal checks, failures, first
+        if len(prefix) == h:
+            checks += 1
+            return
+        for t in range(h):
+            bit = 1 << t
+            if used & bit or below[t] & ~used:
+                continue
+            if _append_ok(placed, fmasks[t], k):
+                prefix.append(t)
+                placed.append(fmasks[t])
+                rec(used | bit)
+                prefix.pop()
+                placed.pop()
+            else:
+                checks += 1
+                failures += 1
+                if first is None:
+                    first = describe(prefix + [t])
+
+    rec(0)
+    return checks, failures, first
+
+
+def reference_walk(below, masks=None, k=0):
+    """The recursion of the reference enumerators, yielding what the
+    walker yields: (full order, True) and (rejected prefix, False)."""
+    h = len(below)
+    prefix, placed = [], []
+
+    def rec(used):
+        if len(prefix) == h:
+            yield tuple(prefix), True
+            return
+        for t in range(h):
+            bit = 1 << t
+            if used & bit or below[t] & ~used:
+                continue
+            if masks is None or _append_ok(placed, masks[t], k):
+                prefix.append(t)
+                if masks is not None:
+                    placed.append(masks[t])
+                yield from rec(used | bit)
+                prefix.pop()
+                if masks is not None:
+                    placed.pop()
+            else:
+                yield tuple(prefix) + (t,), False
+
+    return rec(0)
+
+
+@st.composite
+def below_dags(draw, h):
+    """Below-masks of a random DAG on h indices, in a random topological
+    order, so that index order and the DAG disagree."""
+    rank = draw(st.permutations(range(h)))
+    below = [0] * h
+    for i in range(h):
+        for j in range(i):
+            if draw(st.booleans()):
+                below[rank[i]] |= 1 << rank[j]
+    return below
+
+
+@st.composite
+def facet_mask_lists(draw):
+    """(masks, k) of h distinct random k-subset or flag-vertex facets."""
+    facets = draw(st.one_of(ksubset_sequences(), flag_sequences())).items
+    return facet_masks(facets)
+
+
+@st.composite
+def walks(draw):
+    masks, k = draw(facet_mask_lists())
+    h = min(len(masks), 7)
+    return draw(below_dags(h)), masks[:h], k
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks())
+def test_walker_matches_recursion(walk):
+    below, masks, k = walk
+    assert [(tuple(o), ok) for o, ok in _walk_orders(below)] == list(
+        reference_walk(below)
+    )
+    got = [(tuple(o), ok) for o, ok in _walk_orders(below, masks, k)]
+    assert got == list(reference_walk(below, masks, k))
+
+    def describe(prefix):
+        return "prefix " + ",".join(map(str, prefix))
+
+    verdicts = (None if ok else describe(o) for o, ok in _walk_orders(below, masks, k))
+    assert _tally(verdicts) == reference_walk_extensions_checking(
+        below, masks, k, describe
+    )
+
+
+@st.composite
+def gale_sets(draw):
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n - 1))
+    universe = list(itertools.combinations(range(1, n + 1), k))
+    members = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=7, unique=True))
+    return {KSubset(n, m) for m in members}, OrderKind.GALE
+
+
+@st.composite
+def conf_sets(draw):
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n))
+    universe = list(itertools.permutations(range(1, n + 1), k))
+    entries = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=7, unique=True))
+    return {FlagTuple(n, e) for e in entries}, OrderKind.CONF
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(gale_sets(), conf_sets()))
+def test_linear_extensions_and_shelling_tallies_match_recursion(case):
+    elements, kind = case
+    assert list(linear_extensions(elements, kind)) == list(
+        reference_linear_extensions(elements, kind)
+    )
+    elems = sorted(elements, key=canonical_key)
+    if kind is OrderKind.GALE:
+        fmasks, k = facet_masks(tuple(elems))
+    else:
+        fmasks, k = facet_masks(tuple(flag_facet(y) for y in elems))
+
+    def describe(prefix):
+        return f"extension prefix {prefix} is not a shelling prefix"
+
+    assert _tally(
+        _extension_verdicts(elems, kind, fmasks, k, describe)
+    ) == reference_walk_extensions_checking(
+        strictly_below_masks(elems, kind),
+        fmasks,
+        k,
+        lambda idx: describe(_fmt_seq(elems[t] for t in idx)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(ksubset_sequences(), flag_sequences()))
+def test_shelling_search_matches_recursion(seq):
+    # at most 6 facets keeps the full enumeration within 6! orders
+    complex_ = PureComplex.of(seq.items[:6])
+    assert list(shelling_orders(complex_)) == list(reference_shelling_orders(complex_))
+    assert find_shelling_order(complex_) == reference_find_shelling_order(complex_)
+
+
+# --- the exchange routine against separate scans ---------------------------
+
+
+def reference_is_matroid(facets):
+    elems = sorted(set(facets), key=canonical_key)
+    masks = {x.mask for x in elems}
+    for a_set in elems:
+        for b_set in elems:
+            cut = a_set.mask & ~b_set.mask
+            if not cut:
+                continue
+            swap_in = b_set.mask & ~a_set.mask
+            for a in a_set.members:
+                abit = 1 << (a - 1)
+                if not cut & abit:
+                    continue
+                base = a_set.mask ^ abit
+                if not any(
+                    base | (1 << (b - 1)) in masks
+                    for b in b_set.members
+                    if swap_in >> (b - 1) & 1
+                ):
+                    return MatroidVerdict(False, ExchangeWitness(a_set, b_set, a))
+    return MatroidVerdict(True)
+
+
+def reference_has_quasi_exchange(facets):
+    elems = sorted(set(facets), key=canonical_key)
+    masks = {x.mask for x in elems}
+    for x in elems:
+        for y in elems:
+            gain = y.mask & ~x.mask
+            if not gain:
+                continue
+            top = gain.bit_length()
+            for i in x.members:
+                if i <= top or y.mask >> (i - 1) & 1:
+                    continue
+                base = x.mask ^ (1 << (i - 1))
+                if not any(
+                    base | (1 << (j - 1)) in masks
+                    for j in y.members
+                    if gain >> (j - 1) & 1
+                ):
+                    return MatroidVerdict(False, ExchangeWitness(x, y, i))
+    return MatroidVerdict(True)
+
+
+def _families(universe):
+    for mask in range(1, 1 << len(universe)):
+        yield [universe[t] for t in range(len(universe)) if mask >> t & 1]
+
+
+def test_exchange_verdicts_match_on_all_families_of_2_subsets_of_5():
+    universe = [KSubset(5, m) for m in itertools.combinations(range(1, 6), 2)]
+    for family in _families(universe):
+        assert is_matroid(family) == reference_is_matroid(family)
+        assert has_quasi_exchange(family) == reference_has_quasi_exchange(family)
+
+
+def test_exchange_verdicts_match_on_mixed_sizes():
+    universe = [
+        KSubset(3, m) for size in (1, 2, 3) for m in itertools.combinations(range(1, 4), size)
+    ]
+    for family in _families(universe):
+        assert is_matroid(family) == reference_is_matroid(family)
+        assert has_quasi_exchange(family) == reference_has_quasi_exchange(family)
+    # y\x empty: basis exchange fails, quasi-exchange demands nothing
+    twelve, one = KSubset(3, (1, 2)), KSubset(3, (1,))
+    assert is_matroid([twelve, one]) == MatroidVerdict(
+        False, ExchangeWitness(twelve, one, 2)
+    )
+    assert has_quasi_exchange([twelve, one]).holds

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from random import Random
 
 import pytest
@@ -7,12 +8,15 @@ from shellorder import (
     FacetSequence,
     FlagTuple,
     KSubset,
+    OrderKind,
     PureComplex,
+    all_ksubsets,
     are_isomorphic,
     dual_graph,
     find_shelling_order,
     identity_permutation,
     is_shelling_order,
+    linear_extensions,
     relabel,
     shelling_orders,
 )
@@ -94,6 +98,22 @@ class TestSearch:
                 if is_shelling_order(FacetSequence(perm)).holds
             }
             assert {s.items for s in shelling_orders(X)} == brute
+
+
+class TestMoreFacetsThanRecursionLimit:
+    # all 2-subsets of [46]: 1,035 facets, above the default recursion
+    # limit of 1,000; lex order is both a Gale extension and a shelling
+    facets = tuple(all_ksubsets(46, 2))
+
+    def test_find_shelling_order(self):
+        assert len(self.facets) > sys.getrecursionlimit()
+        found = find_shelling_order(PureComplex.of(self.facets))
+        assert found.items == self.facets
+        assert is_shelling_order(found).holds
+
+    def test_first_linear_extension(self):
+        first = next(linear_extensions(self.facets, OrderKind.GALE))
+        assert first.items == self.facets
 
 
 class TestDualGraph:
