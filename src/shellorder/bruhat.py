@@ -20,6 +20,7 @@ from .core import (
     FacetSequence,
     FlagTuple,
     KSubset,
+    _bits,
     all_flag_tuples,
     all_ksubsets,
     all_permutations,
@@ -136,20 +137,87 @@ def descent_set(w: FlagTuple) -> DescentSet:
     return frozenset(i + 1 for i in range(len(e) - 1) if e[i] > e[i + 1])
 
 
+def _conf_profile(values: tuple[int, ...]) -> tuple:
+    """Every sorted prefix of ``values``, flattened: the coordinates that
+    the configuration order compares."""
+    flat: list[int] = []
+    prefix: list[int] = []
+    for v in values:
+        bisect.insort(prefix, v)
+        flat.extend(prefix)
+    return tuple(flat)
+
+
+def _check_operands(elems: list, kind: OrderKind) -> None:
+    """The checks that ``leq`` makes, once per element: the alphabet of
+    ``kind``, full permutations for PERM, and one shared n and length."""
+    if kind is OrderKind.GALE:
+        cls = KSubset
+    elif kind is OrderKind.CONF or kind is OrderKind.PERM:
+        cls = FlagTuple
+    else:
+        raise ValueError(f"unknown order kind {kind!r}")
+    first = elems[0]
+    for x in elems:
+        if not isinstance(x, cls):
+            raise TypeError(f"expected {cls.__name__} operands, got {type(x).__name__}")
+        if kind is OrderKind.PERM:
+            _require_permutation(x, "u")
+        if x.n != first.n or len(x) != len(first):
+            raise ValueError("operands live in different quotients")
+
+
+def _below_rows(elems: list, kind: OrderKind) -> list[int]:
+    """For each index i, the bitmask of the other indices j with
+    elems[j] <= elems[i]; equal elements count as below each other.
+
+    The key of x is its sorted members (Gale order) or its flattened
+    sorted prefixes (the others), so x <= y iff key(x) <= key(y) in every
+    coordinate.  Per coordinate, the indices are bucketed by value and
+    the buckets accumulated upwards into "at most this value" masks; a
+    row is the AND of its element's masks.  O(m·d) integer operations
+    for m elements with d key coordinates.  The checks of ``leq`` run
+    only when there is a pair to compare, as with pairwise ``leq``.
+
+    Kernels here and in ``suites`` call this directly, so that the
+    traced count of ``strictly_below_masks`` stays a count of its
+    outside callers."""
+    m = len(elems)
+    if m < 2:
+        return [0] * m
+    _check_operands(elems, kind)
+    if kind is OrderKind.GALE:
+        keys = [x.members for x in elems]
+    else:
+        keys = [_conf_profile(x.entries) for x in elems]
+    n = elems[0].n
+    rows = [(1 << m) - 1] * m
+    for column in zip(*keys):
+        at_most = [0] * (n + 1)
+        for i, v in enumerate(column):
+            at_most[v] |= 1 << i
+        for v in range(1, n + 1):
+            at_most[v] |= at_most[v - 1]
+        rows = [row & at_most[v] for row, v in zip(rows, column)]
+    return [row & ~(1 << i) for i, row in enumerate(rows)]
+
+
 def induced_covers(elements: Iterable, kind: OrderKind) -> set[tuple]:
     """Cover relations of the subposet induced on ``elements``.
 
     Returns pairs (lower, upper).  Covers are taken within the given set,
-    not within the ambient quotient.
+    not within the ambient quotient: i is covered by j iff i is below j
+    and below no t that is itself below j.  O(m·d) for the rows plus
+    O(m²) mask operations for m elements with d key coordinates.
     """
     elems = sorted(set(elements), key=canonical_key)
-    m = len(elems)
-    lt = [[i != j and leq(elems[i], elems[j], kind) for j in range(m)] for i in range(m)]
+    below = _below_rows(elems, kind)
     covers = set()
-    for i in range(m):
-        for j in range(m):
-            if lt[i][j] and not any(lt[i][t] and lt[t][j] for t in range(m)):
-                covers.add((elems[i], elems[j]))
+    for j, row in enumerate(below):
+        deeper = 0
+        for t in _bits(row):
+            deeper |= below[t]
+        covers.update((elems[i], elems[j]) for i in _bits(row & ~deeper))
     return covers
 
 
@@ -162,10 +230,26 @@ def _ambient(kind: OrderKind, n: int, k: int) -> Iterator:
 
 
 def is_order_ideal(elements: Iterable, kind: OrderKind) -> bool:
-    """True iff the set is downward closed in its ambient quotient."""
+    """True iff the set is downward closed in its ambient quotient.
+
+    Gale order: a set is downward closed iff it holds every lower cover
+    of each member x, that is x with one member a lowered to a - 1 not in
+    x.  O(|X|·k) after the shapes are checked.  Configuration and
+    permutation orders scan the whole ambient quotient, comparing each
+    outside element with every member: O(|ambient|·|X|) ``leq`` calls.
+    """
     elems = set(elements)
     if not elems:
         return True
+    if kind is OrderKind.GALE:
+        _check_operands(list(elems), kind)
+        masks = {x.mask for x in elems}
+        return all(
+            x.mask ^ (3 << (a - 2)) in masks
+            for x in elems
+            for a in x.members
+            if a >= 2 and not x.mask >> (a - 2) & 1
+        )
     sample = next(iter(elems))
     n, k = sample.n, len(sample)
     for y in _ambient(kind, n, k):
@@ -179,22 +263,16 @@ def is_linear_extension(seq: FacetSequence, elements: Iterable, kind: OrderKind)
     items = seq.items
     if set(items) != set(elements):
         raise ValueError("sequence is not a permutation of the given facets")
-    for j in range(1, len(items)):
-        for i in range(j):
-            if leq(items[j], items[i], kind):
-                return False
-    return True
+    below = _below_rows(list(items), kind)
+    return not any(row >> (i + 1) for i, row in enumerate(below))
 
 
 def strictly_below_masks(elems: list, kind: OrderKind) -> list[int]:
-    """For each index i, the bitmask of indices strictly below elems[i]."""
-    m = len(elems)
-    below = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if i != j and leq(elems[j], elems[i], kind):
-                below[i] |= 1 << j
-    return below
+    """For each index i, the bitmask of indices j != i with
+    elems[j] <= elems[i] (duplicates count as below each other).
+    O(m·d) integer operations for m elements with d key coordinates
+    (k for the Gale order, k(k+1)/2 for the others)."""
+    return _below_rows(elems, kind)
 
 
 def linear_extensions(elements: Iterable, kind: OrderKind) -> Iterator[FacetSequence]:

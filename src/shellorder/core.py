@@ -297,6 +297,16 @@ def symmetric_difference_update(x: KSubset, drop: int, add: int) -> KSubset:
     return KSubset(x.n, tuple(m for m in x.members if m != drop) + (add,))
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def all_ksubsets(n: int, k: int) -> Iterator[KSubset]:
     """All k-subsets of {1, ..., n}, in lexicographic order."""
     for combo in itertools.combinations(range(1, n + 1), k):

@@ -7,12 +7,11 @@ matroids.  Verdicts carry replayable counterexample witnesses.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .bruhat import OrderKind, leq, prefix_projection
+from .bruhat import OrderKind, _conf_profile, leq, prefix_projection
 from .core import FlagTuple, KSubset, PureComplex, canonical_key
 
 
@@ -108,15 +107,6 @@ def _has_unique_max(profiles: list[tuple]) -> bool:
         if _dominates(candidate, p):
             candidate = p
     return all(_dominates(p, candidate) for p in profiles)
-
-
-def _conf_profile(values: tuple[int, ...]) -> tuple:
-    flat: list[int] = []
-    prefix: list[int] = []
-    for v in values:
-        bisect.insort(prefix, v)
-        flat.extend(prefix)
-    return tuple(flat)
 
 
 def _gale_profile(values: tuple[int, ...]) -> tuple:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,7 @@ from typing import Iterable, Iterator, Optional
 
 from .bruhat import (
     OrderKind,
-    gale_leq,
+    _below_rows,
     induced_covers,
     is_order_ideal,
     prefix_projection,
@@ -31,6 +32,7 @@ from .core import (
     FlagTuple,
     KSubset,
     PureComplex,
+    _bits,
     all_flag_tuples,
     all_ksubsets,
     canonical_key,
@@ -52,6 +54,7 @@ from .shelling import (
 from .subdivision import barycentric, flag_facet
 
 EXHAUSTIVE_MAX_N = 6
+SEEDED_MAX_FACETS = 10_000  # seeded corpora list all C(n, k) facets
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,15 @@ def _guard_exhaustive(n: int) -> None:
         raise ValueError(f"exhaustive sweeps are guarded at n <= {EXHAUSTIVE_MAX_N}")
 
 
+def _guard_seeded(n: int, k: int) -> None:
+    facets = math.comb(n, k)  # a ValueError for negative n or k
+    if not 1 <= facets <= SEEDED_MAX_FACETS:
+        raise ValueError(
+            f"seeded corpora need 1 <= C(n, k) <= {SEEDED_MAX_FACETS}, "
+            f"got C({n}, {k}) = {facets}"
+        )
+
+
 def _fmt_facet(f) -> str:
     if isinstance(f, KSubset):
         vals = f.members
@@ -93,17 +105,6 @@ def _fmt_seq(items: Iterable) -> str:
 
 def _fmt_set(items: Iterable) -> str:
     return "{" + ",".join(_fmt_facet(f) for f in sorted(items, key=canonical_key)) + "}"
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    t = 0
-    while mask:
-        if mask & 1:
-            out.append(t)
-        mask >>= 1
-        t += 1
-    return out
 
 
 def _chunks(total: int, pieces: int = 64) -> list[tuple[int, int]]:
@@ -298,6 +299,7 @@ def random_corpus(
     """Seeded growth sampling: start from a random facet and keep appending
     a random facet that preserves the gluing condition, up to a random
     target length.  Every sample is a shelling order by construction."""
+    _guard_seeded(n, k)
     rng = Random(seed)
     facets = list(all_ksubsets(n, k))
     out: list[FacetSequence] = []
@@ -455,6 +457,10 @@ def _ideal_and_interval_masks(n: int, k: int) -> list[int]:
     facets = list(all_ksubsets(n, k))
     m = len(facets)
     below = strictly_below_masks(facets, OrderKind.GALE)
+    above = [0] * m
+    for t, row in enumerate(below):
+        for i in _bits(row):
+            above[i] |= 1 << t
     supports: list[int] = []
     seen: set[int] = set()
     for mask in range(1, 1 << m):
@@ -463,15 +469,10 @@ def _ideal_and_interval_masks(n: int, k: int) -> list[int]:
             seen.add(mask)
     for i in range(m):
         for j in range(m):
-            if i != j and not gale_leq(facets[i], facets[j]):
+            if i != j and not below[j] >> i & 1:
                 continue
-            mask = 0
-            for t in range(m):
-                lo_ok = t == i or gale_leq(facets[i], facets[t])
-                hi_ok = t == j or gale_leq(facets[t], facets[j])
-                if lo_ok and hi_ok:
-                    mask |= 1 << t
-            if mask and mask not in seen:
+            mask = (above[i] | 1 << i) & (below[j] | 1 << j)
+            if mask not in seen:
                 supports.append(mask)
                 seen.add(mask)
     return supports
@@ -530,18 +531,19 @@ def _transposition_neighbors(y: KSubset) -> set[KSubset]:
 def _remark_setup(n: int, k: int):
     facets = list(all_ksubsets(n, k))
     exchange = {y: _transposition_neighbors(y) for y in facets}
+    below = _below_rows(facets, OrderKind.GALE)
 
-    def verdict(a: KSubset, b: KSubset) -> Optional[str]:
+    def verdict(s: int, t: int) -> Optional[str]:
+        a, b = facets[s], facets[t]
         is_ridge = (a.mask & b.mask).bit_count() == k - 1
         if is_ridge != (a in exchange[b]):
             return f"ridge/reflection mismatch on ({_fmt_facet(a)},{_fmt_facet(b)})"
-        if is_ridge and not (gale_leq(a, b) or gale_leq(b, a)):
+        if is_ridge and not (below[t] >> s & 1 or below[s] >> t & 1):
             return f"ridge pair ({_fmt_facet(a)},{_fmt_facet(b)}) incomparable"
         return None
 
     def check(mask: int) -> Iterable[Optional[str]]:
-        elems = [facets[t] for t in _bits(mask)]
-        return itertools.starmap(verdict, itertools.combinations(elems, 2))
+        return itertools.starmap(verdict, itertools.combinations(_bits(mask), 2))
 
     return check
 

@@ -11,7 +11,7 @@ from shellorder import (
     all_flag_tuples,
     all_ksubsets,
 )
-from shellorder import suites
+from shellorder import cli, suites
 from shellorder.cli import export_dot, main, parse_input, serialize
 from shellorder.promotion import GraphKind
 
@@ -238,6 +238,18 @@ class TestCommands:
         assert "error:" in capsys.readouterr().err
 
 
+def test_memory_error_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_check_shelling", exhausted)
+    path = write(tmp_path, "c.txt", BJORNER_TEXT)
+    assert main(["check-shelling", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n"
+    assert captured.out == ""
+
+
 class TestExportDot:
     def test_eleven_facet_graph(self, bjorner, tmp_path, capsys):
         path = write(tmp_path, "c.txt", BJORNER_TEXT)
@@ -295,6 +307,24 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "instances: 50" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "n, k", [("40", "20"), ("16", "8"), ("3", "5"), ("0", "1")]
+    )
+    def test_seeded_corpus_outside_its_bound_rejected(self, n, k, capsys):
+        # C(40, 20) facets would be listed before sampling; an empty
+        # universe has no facet to start from
+        argv = ["verify", "promotion-shell", "--n", n, "--k", k, "--samples", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: seeded corpora need 1 <= C(n, k) <= 10000" in captured.err
+        assert captured.out == ""
+
+    def test_seeded_corpus_at_its_bound_runs(self, capsys):
+        # C(14, 7) = 3,432 and C(16, 8) = 12,870 sit either side of the bound
+        argv = ["verify", "promotion-shell", "--n", "14", "--k", "7", "--samples", "1"]
+        assert main(argv) == 0
+        assert "instances: 1" in capsys.readouterr().out
 
     def test_parallel_workers_match_sequential(self, capsys):
         assert main(["verify", "remark-bruhat-graph", "--n", "4", "--k", "2"]) == 0

@@ -1,18 +1,20 @@
-"""Differential tests: the shelling, graph, order-walk and exchange kernels
-against reference copies.
+"""Differential tests: the shelling, graph, order-walk, exchange and
+Bruhat-order kernels against reference copies.
 
 The references are the straightforward forms the kernels replaced: the
 pair-by-pair ridge scan for ``is_shelling_order``, the ridge-list test
 for ``_append_ok``, edge-set scans for ``LabeledGraph`` lookups and
 ``track``, one recursion per enumerator for the iterative order walker,
-and separate basis-exchange and quasi-exchange scans for the shared
-exchange routine.  Sequences are random k-subset and flag-vertex
+separate basis-exchange and quasi-exchange scans for the shared
+exchange routine, and pairwise ``leq`` scans for the dominance-row order
+kernels.  Sequences are random k-subset and flag-vertex
 sequences, most of them not shelling orders, plus grown shelling orders
 with and without a transposition that may break them.
 """
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from shellorder import (
@@ -25,8 +27,15 @@ from shellorder import (
     elementary_move,
     evacuate,
     find_shelling_order,
+    all_flag_tuples,
+    all_ksubsets,
+    all_permutations,
+    gale_leq,
     has_quasi_exchange,
+    induced_covers,
+    is_linear_extension,
     is_matroid,
+    is_order_ideal,
     is_shelling_order,
     linear_extensions,
     promote,
@@ -34,7 +43,8 @@ from shellorder import (
     shelling_orders,
     track,
 )
-from shellorder.bruhat import strictly_below_masks
+from shellorder import bruhat
+from shellorder.bruhat import leq, strictly_below_masks
 from shellorder.core import canonical_key
 from shellorder.matroid import ExchangeWitness, MatroidVerdict
 from shellorder.shelling import _append_ok, _walk_orders, facet_masks
@@ -498,3 +508,181 @@ def test_exchange_verdicts_match_on_mixed_sizes():
         False, ExchangeWitness(twelve, one, 2)
     )
     assert has_quasi_exchange([twelve, one]).holds
+
+
+# --- the order kernels against pairwise leq --------------------------------
+
+
+def reference_strictly_below_masks(elems, kind):
+    m = len(elems)
+    below = [0] * m
+    for i in range(m):
+        for j in range(m):
+            if i != j and leq(elems[j], elems[i], kind):
+                below[i] |= 1 << j
+    return below
+
+
+def reference_induced_covers(elements, kind):
+    elems = sorted(set(elements), key=canonical_key)
+    m = len(elems)
+    lt = [[i != j and leq(elems[i], elems[j], kind) for j in range(m)] for i in range(m)]
+    covers = set()
+    for i in range(m):
+        for j in range(m):
+            if lt[i][j] and not any(lt[i][t] and lt[t][j] for t in range(m)):
+                covers.add((elems[i], elems[j]))
+    return covers
+
+
+def reference_ambient(kind, n, k):
+    if kind is OrderKind.GALE:
+        return all_ksubsets(n, k)
+    if kind is OrderKind.CONF:
+        return all_flag_tuples(n, k)
+    return all_permutations(n)
+
+
+def reference_is_order_ideal(elements, kind):
+    elems = set(elements)
+    if not elems:
+        return True
+    sample = next(iter(elems))
+    n, k = sample.n, len(sample)
+    for y in reference_ambient(kind, n, k):
+        if y not in elems and any(leq(y, x, kind) for x in elems):
+            return False
+    return True
+
+
+def reference_is_linear_extension(seq, elements, kind):
+    items = seq.items
+    if set(items) != set(elements):
+        raise ValueError("sequence is not a permutation of the given facets")
+    for j in range(1, len(items)):
+        for i in range(j):
+            if leq(items[j], items[i], kind):
+                return False
+    return True
+
+
+@st.composite
+def order_lists(draw):
+    """A kind and a list over one quotient: a random set, a down-set
+    (whole, or missing one random element), or a list with repeats."""
+    kind = draw(st.sampled_from(list(OrderKind)))
+    if kind is OrderKind.GALE:
+        n = draw(st.integers(1, 7))
+        k = draw(st.integers(0, n))
+    else:
+        n = draw(st.integers(1, 4))
+        k = n if kind is OrderKind.PERM else draw(st.integers(1, n))
+    universe = list(reference_ambient(kind, n, k))
+    pick = st.sampled_from(universe)
+    shape = draw(st.sampled_from(["set", "down-set", "repeats"]))
+    if shape == "set":
+        elems = draw(st.lists(pick, min_size=1, max_size=9, unique=True))
+    elif shape == "repeats":
+        elems = draw(st.lists(pick, min_size=1, max_size=9))
+    else:
+        tops = draw(st.lists(pick, min_size=1, max_size=3))
+        elems = [y for y in universe if any(leq(y, top, kind) for top in tops)]
+        if len(elems) > 1 and draw(st.booleans()):
+            del elems[draw(st.integers(0, len(elems) - 1))]
+    return kind, draw(st.permutations(elems))
+
+
+@settings(max_examples=500, deadline=None)
+@given(order_lists())
+def test_order_kernels_match_pairwise_leq(case):
+    kind, elems = case
+    assert strictly_below_masks(elems, kind) == reference_strictly_below_masks(elems, kind)
+    assert induced_covers(elems, kind) == reference_induced_covers(elems, kind)
+    assert is_order_ideal(elems, kind) == reference_is_order_ideal(elems, kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(order_lists(), st.data())
+def test_linear_extension_check_matches_pairwise_leq(case, data):
+    kind, elems = case
+    distinct = sorted(set(elems), key=canonical_key)
+    if data.draw(st.booleans()):
+        order = list(next(linear_extensions(distinct, kind)).items)
+        if len(order) > 1:  # an adjacent swap may break it
+            i = data.draw(st.integers(0, len(order) - 2))
+            order[i], order[i + 1] = order[i + 1], order[i]
+    else:
+        order = data.draw(st.permutations(distinct))
+    seq = FacetSequence(tuple(order))
+    assert is_linear_extension(seq, distinct, kind) == reference_is_linear_extension(
+        seq, distinct, kind
+    )
+
+
+# (kind, elements, error now, error from pairwise leq)
+MALFORMED = [
+    (OrderKind.GALE, [KSubset(4, (1, 2)), FlagTuple(4, (1, 2))], TypeError, TypeError),
+    (OrderKind.GALE, [FlagTuple(4, (1, 2)), KSubset(4, (1, 2))], TypeError, TypeError),
+    (OrderKind.CONF, [FlagTuple(4, (1, 2)), KSubset(4, (1, 2))], TypeError, TypeError),
+    (OrderKind.CONF, [KSubset(4, (1, 2)), FlagTuple(4, (1, 2))], TypeError, TypeError),
+    # pairwise, perm_leq asked the KSubset whether it is a permutation
+    (
+        OrderKind.PERM,
+        [FlagTuple(3, (2, 1, 3)), KSubset(3, (1, 2, 3))],
+        TypeError,
+        AttributeError,
+    ),
+    (OrderKind.GALE, [KSubset(4, (1, 2)), KSubset(5, (1, 2))], ValueError, ValueError),
+    (OrderKind.GALE, [KSubset(4, (1, 2)), KSubset(4, (1, 2, 3))], ValueError, ValueError),
+    (OrderKind.CONF, [FlagTuple(4, (1, 2)), FlagTuple(5, (1, 2))], ValueError, ValueError),
+    (OrderKind.CONF, [FlagTuple(4, (1, 2)), FlagTuple(4, (2, 1, 3))], ValueError, ValueError),
+    (OrderKind.PERM, [FlagTuple(3, (2, 1, 3)), FlagTuple(3, (2, 1))], ValueError, ValueError),
+    (OrderKind.PERM, [FlagTuple(3, (2, 1)), FlagTuple(3, (2, 1, 3))], ValueError, ValueError),
+    (
+        OrderKind.PERM,
+        [FlagTuple(3, (2, 1, 3)), FlagTuple(4, (1, 2, 3, 4))],
+        ValueError,
+        ValueError,
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, elems, error, pairwise_error", MALFORMED)
+def test_order_kernels_reject_malformed_lists(kind, elems, error, pairwise_error):
+    with pytest.raises(pairwise_error):
+        reference_strictly_below_masks(elems, kind)
+    with pytest.raises(error):
+        strictly_below_masks(elems, kind)
+    with pytest.raises(error):
+        induced_covers(elems, kind)
+    if kind is OrderKind.GALE:
+        # the lower-cover test checks the shapes before it looks at covers
+        with pytest.raises(error):
+            is_order_ideal(elems, kind)
+
+
+def test_gale_order_ideal_does_not_list_the_ambient_quotient(monkeypatch):
+    top = KSubset(20, (4, 8, 12, 16, 20))
+    ideal = [y for y in all_ksubsets(20, 5) if gale_leq(y, top)]
+
+    def refuse(*args):
+        raise AssertionError("the ambient quotient was listed")
+
+    monkeypatch.setattr(bruhat, "_ambient", refuse)
+    assert is_order_ideal(ideal, OrderKind.GALE)
+    assert not is_order_ideal(ideal[1:], OrderKind.GALE)  # without 12345
+    assert not is_order_ideal([top], OrderKind.GALE)
+    assert is_order_ideal([KSubset(20, (1, 2, 3, 4, 5))], OrderKind.GALE)
+
+
+def test_first_extension_of_1035_facets_needs_no_pairwise_leq(monkeypatch):
+    facets = tuple(all_ksubsets(46, 2))
+
+    def refuse(*args):
+        raise AssertionError("pairwise leq was called")
+
+    for name in ("leq", "gale_leq", "conf_leq", "perm_leq"):
+        monkeypatch.setattr(bruhat, name, refuse)
+    first = next(linear_extensions(facets, OrderKind.GALE))
+    assert len(first) == 1_035
+    assert first.items == facets
