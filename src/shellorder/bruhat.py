@@ -21,9 +21,7 @@ from .core import (
     FlagTuple,
     KSubset,
     _bits,
-    all_flag_tuples,
-    all_ksubsets,
-    all_permutations,
+    _check_homogeneous,
     canonical_key,
 )
 from .shelling import _walk_orders
@@ -137,7 +135,17 @@ def descent_set(w: FlagTuple) -> DescentSet:
     return frozenset(i + 1 for i in range(len(e) - 1) if e[i] > e[i + 1])
 
 
-def _conf_profile(values: tuple[int, ...]) -> tuple:
+def _order_of(facet) -> OrderKind:
+    """The order a facet alphabet carries: the Gale order on KSubsets,
+    the configuration order on FlagTuples."""
+    if isinstance(facet, KSubset):
+        return OrderKind.GALE
+    if isinstance(facet, FlagTuple):
+        return OrderKind.CONF
+    raise TypeError("expected an ordered facet alphabet (KSubset or FlagTuple)")
+
+
+def _conf_profile(values: Iterable[int]) -> tuple:
     """Every sorted prefix of ``values``, flattened: the coordinates that
     the configuration order compares."""
     flat: list[int] = []
@@ -148,9 +156,32 @@ def _conf_profile(values: tuple[int, ...]) -> tuple:
     return tuple(flat)
 
 
+def _dominance_key(kind: OrderKind):
+    """The map from an element's values (or any run of values) to the
+    coordinates that ``kind`` compares: x <= y iff key(x) <= key(y) in
+    every coordinate.  Sorted values for the Gale order, every sorted
+    prefix flattened for the others."""
+    return sorted if kind is OrderKind.GALE else _conf_profile
+
+
+def _greatest(keys: list) -> int | None:
+    """The index of the key that dominates every key, or None.
+
+    One candidate pass is enough: a greatest key, when it exists, absorbs
+    the candidate and survives every later comparison."""
+    best = 0
+    for i in range(1, len(keys)):
+        if all(a <= b for a, b in zip(keys[best], keys[i])):
+            best = i
+    top = keys[best]
+    dominated = (all(a <= b for a, b in zip(key, top)) for key in keys)
+    return best if all(dominated) else None
+
+
 def _check_operands(elems: list, kind: OrderKind) -> None:
-    """The checks that ``leq`` makes, once per element: the alphabet of
-    ``kind``, full permutations for PERM, and one shared n and length."""
+    """The checks that ``leq`` makes, once per list: the alphabet of
+    ``kind``, one shared alphabet, n and length, and full permutations
+    for PERM."""
     if kind is OrderKind.GALE:
         cls = KSubset
     elif kind is OrderKind.CONF or kind is OrderKind.PERM:
@@ -158,26 +189,23 @@ def _check_operands(elems: list, kind: OrderKind) -> None:
     else:
         raise ValueError(f"unknown order kind {kind!r}")
     first = elems[0]
-    for x in elems:
-        if not isinstance(x, cls):
-            raise TypeError(f"expected {cls.__name__} operands, got {type(x).__name__}")
-        if kind is OrderKind.PERM:
-            _require_permutation(x, "u")
-        if x.n != first.n or len(x) != len(first):
-            raise ValueError("operands live in different quotients")
+    if not isinstance(first, cls):
+        raise TypeError(f"expected {cls.__name__} operands, got {type(first).__name__}")
+    _check_homogeneous(elems, "operand list")
+    if kind is OrderKind.PERM:
+        _require_permutation(first, "u")
 
 
 def _below_rows(elems: list, kind: OrderKind) -> list[int]:
     """For each index i, the bitmask of the other indices j with
     elems[j] <= elems[i]; equal elements count as below each other.
 
-    The key of x is its sorted members (Gale order) or its flattened
-    sorted prefixes (the others), so x <= y iff key(x) <= key(y) in every
-    coordinate.  Per coordinate, the indices are bucketed by value and
-    the buckets accumulated upwards into "at most this value" masks; a
-    row is the AND of its element's masks.  O(m·d) integer operations
-    for m elements with d key coordinates.  The checks of ``leq`` run
-    only when there is a pair to compare, as with pairwise ``leq``.
+    Per coordinate of the dominance key, the indices are bucketed by
+    value and the buckets accumulated upwards into "at most this value"
+    masks; a row is the AND of its element's masks.  O(m·d) integer
+    operations for m elements with d key coordinates.  The checks of
+    ``leq`` run only when there is a pair to compare, as with pairwise
+    ``leq``.
 
     Kernels here and in ``suites`` call this directly, so that the
     traced count of ``strictly_below_masks`` stays a count of its
@@ -186,10 +214,7 @@ def _below_rows(elems: list, kind: OrderKind) -> list[int]:
     if m < 2:
         return [0] * m
     _check_operands(elems, kind)
-    if kind is OrderKind.GALE:
-        keys = [x.members for x in elems]
-    else:
-        keys = [_conf_profile(x.entries) for x in elems]
+    keys = list(map(_dominance_key(kind), elems))
     n = elems[0].n
     rows = [(1 << m) - 1] * m
     for column in zip(*keys):
@@ -221,41 +246,50 @@ def induced_covers(elements: Iterable, kind: OrderKind) -> set[tuple]:
     return covers
 
 
-def _ambient(kind: OrderKind, n: int, k: int) -> Iterator:
-    if kind is OrderKind.GALE:
-        return all_ksubsets(n, k)
-    if kind is OrderKind.CONF:
-        return all_flag_tuples(n, k)
-    return all_permutations(n)
+def _gale_lower_covers(x: KSubset) -> Iterator[int]:
+    """Masks of x with one member a lowered to a - 1 not in x."""
+    m = x.mask
+    return (m ^ (3 << (a - 2)) for a in x.members if a >= 2 and not m >> (a - 2) & 1)
+
+
+def _lower_reflections(x: FlagTuple) -> Iterator[tuple]:
+    """Entries of every t·x < x for a transposition t = (a b), a < b, of
+    values: an entry b replaced by a smaller absent value a, or an entry
+    b swapped with a smaller entry a that follows it."""
+    e = x.entries
+    absent = sorted(set(range(1, x.n + 1)).difference(e))
+    for i, b in enumerate(e):
+        head, tail = e[:i], e[i + 1 :]
+        for a in absent:
+            if a > b:
+                break
+            yield head + (a,) + tail
+        for j, a in enumerate(tail):
+            if a < b:
+                yield head + (a,) + tail[:j] + (b,) + tail[j + 1 :]
 
 
 def is_order_ideal(elements: Iterable, kind: OrderKind) -> bool:
     """True iff the set is downward closed in its ambient quotient.
 
-    Gale order: a set is downward closed iff it holds every lower cover
-    of each member x, that is x with one member a lowered to a - 1 not in
-    x.  O(|X|·k) after the shapes are checked.  Configuration and
-    permutation orders scan the whole ambient quotient, comparing each
-    outside element with every member: O(|ambient|·|X|) ``leq`` calls.
+    Every cover of the Bruhat order on a parabolic quotient is a
+    reflection, so a set is downward closed iff it holds each lower
+    neighbour of each member x.  Gale order: the lower covers, x with
+    one member a lowered to a - 1 not in x, O(|X|·k).  Configuration and
+    permutation orders: the lower reflections t·x < x, O(|X|·k·(n + k)).
+    Nothing outside the set is listed.
     """
-    elems = set(elements)
+    elems = list(set(elements))
     if not elems:
         return True
+    _check_operands(elems, kind)
     if kind is OrderKind.GALE:
-        _check_operands(list(elems), kind)
-        masks = {x.mask for x in elems}
-        return all(
-            x.mask ^ (3 << (a - 2)) in masks
-            for x in elems
-            for a in x.members
-            if a >= 2 and not x.mask >> (a - 2) & 1
-        )
-    sample = next(iter(elems))
-    n, k = sample.n, len(sample)
-    for y in _ambient(kind, n, k):
-        if y not in elems and any(leq(y, x, kind) for x in elems):
-            return False
-    return True
+        present = {x.mask for x in elems}
+        lower = _gale_lower_covers
+    else:
+        present = {x.entries for x in elems}
+        lower = _lower_reflections
+    return all(y in present for x in elems for y in lower(x))
 
 
 def is_linear_extension(seq: FacetSequence, elements: Iterable, kind: OrderKind) -> bool:

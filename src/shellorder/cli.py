@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Union
 
 from .bruhat import (
-    OrderKind,
+    _order_of,
     is_linear_extension,
     is_order_ideal,
     linear_extensions,
@@ -118,11 +118,6 @@ def export_dot(seq: FacetSequence, kind: GraphKind) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _order_kind(value) -> OrderKind:
-    first = next(iter(value))
-    return OrderKind.GALE if isinstance(first, KSubset) else OrderKind.CONF
-
-
 def _graph_kind(name: str) -> GraphKind:
     return GraphKind.DUAL if name == "dual" else GraphKind.HASSE
 
@@ -169,17 +164,17 @@ def _cmd_check_coxeter(args) -> int:
 
 def _cmd_check_order_ideal(args) -> int:
     complex_ = load_input(args.file)
-    return _verdict(is_order_ideal(complex_, _order_kind(complex_)))
+    return _verdict(is_order_ideal(complex_, _order_of(next(iter(complex_.facets)))))
 
 
 def _cmd_check_linear_extension(args) -> int:
     seq = load_input(args.file, as_sequence=True)
-    return _verdict(is_linear_extension(seq, seq.support(), _order_kind(seq)))
+    return _verdict(is_linear_extension(seq, seq.support(), _order_of(seq.items[0])))
 
 
 def _cmd_list_extensions(args) -> int:
     complex_ = load_input(args.file)
-    for seq in linear_extensions(complex_, _order_kind(complex_)):
+    for seq in linear_extensions(complex_, _order_of(next(iter(complex_.facets)))):
         print(", ".join(_facet_line(f) for f in seq))
     return 0
 

@@ -11,7 +11,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .bruhat import OrderKind, _conf_profile, leq, prefix_projection
+from .bruhat import (
+    OrderKind,
+    _check_operands,
+    _dominance_key,
+    _greatest,
+    _order_of,
+    prefix_projection,
+)
 from .core import FlagTuple, KSubset, PureComplex, canonical_key
 
 
@@ -86,31 +93,9 @@ def unique_maximum(elements: Iterable, kind: OrderKind):
     elems = sorted(set(elements), key=canonical_key)
     if not elems:
         raise ValueError("empty set has no maximum")
-    candidate = elems[0]
-    for x in elems[1:]:
-        if leq(candidate, x, kind):
-            candidate = x
-    if all(leq(x, candidate, kind) for x in elems):
-        return candidate
-    return None
-
-
-def _dominates(p: tuple, q: tuple) -> bool:
-    return all(a <= b for a, b in zip(p, q))
-
-
-def _has_unique_max(profiles: list[tuple]) -> bool:
-    # One-pass candidate scan; valid because a greatest element, when it
-    # exists, absorbs the candidate and survives every later comparison.
-    candidate = profiles[0]
-    for p in profiles[1:]:
-        if _dominates(candidate, p):
-            candidate = p
-    return all(_dominates(p, candidate) for p in profiles)
-
-
-def _gale_profile(values: tuple[int, ...]) -> tuple:
-    return tuple(sorted(values))
+    _check_operands(elems, kind)
+    best = _greatest(list(map(_dominance_key(kind), elems)))
+    return None if best is None else elems[best]
 
 
 def is_coxeter_matroid(elements: Iterable) -> bool:
@@ -126,17 +111,12 @@ def is_coxeter_matroid(elements: Iterable) -> bool:
     n = elems[0].n
     if n > 8:
         raise ValueError(f"full S_n sweep requires n <= 8, got n = {n}")
-    if isinstance(elems[0], KSubset):
-        points = [x.members for x in elems]
-        profile = _gale_profile
-    elif isinstance(elems[0], FlagTuple):
-        points = [x.entries for x in elems]
-        profile = _conf_profile
-    else:
-        raise TypeError("expected KSubset or FlagTuple elements")
+    kind = _order_of(elems[0])
+    _check_operands(elems, kind)
+    key = _dominance_key(kind)
+    points = [tuple(x) for x in elems]
     for w in itertools.permutations(range(1, n + 1)):
-        images = [profile(tuple(w[v - 1] for v in pt)) for pt in points]
-        if not _has_unique_max(images):
+        if _greatest([key([w[v - 1] for v in pt]) for pt in points]) is None:
             return False
     return True
 

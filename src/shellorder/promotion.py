@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .bruhat import OrderKind, induced_covers
-from .core import FacetSequence, FlagTuple, KSubset, LabeledGraph
+from .bruhat import OrderKind, _order_of, induced_covers
+from .core import FacetSequence, LabeledGraph
 from .shelling import dual_graph
 
 PositionPermutation = tuple  # one-line notation, a bijection of [h]
@@ -67,17 +67,6 @@ def _rearranged(sigma: PositionPermutation, items: tuple) -> tuple:
     return tuple(out)
 
 
-def _default_order(seq: FacetSequence) -> OrderKind:
-    first = seq.items[0]
-    if isinstance(first, KSubset):
-        return OrderKind.GALE
-    if isinstance(first, FlagTuple):
-        return OrderKind.CONF
-    raise TypeError(
-        "Hasse graphs need an ordered facet alphabet (KSubset or FlagTuple)"
-    )
-
-
 def graph_of(
     seq: FacetSequence, kind: GraphKind, order: OrderKind | None = None
 ) -> LabeledGraph:
@@ -85,7 +74,7 @@ def graph_of(
     support with elements replaced by their positions."""
     if kind is GraphKind.DUAL:
         return dual_graph(seq)
-    order = order if order is not None else _default_order(seq)
+    order = order if order is not None else _order_of(seq.items[0])
     position = {item: i + 1 for i, item in enumerate(seq.items)}
     edges = {
         (position[lo], position[hi])

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 from random import Random
 
 import pytest
@@ -166,6 +167,18 @@ class TestCommands:
         assert main(["check-order-ideal", good]) == 0
         bad = write(tmp_path, "j.txt", "n=4 mode=sorted\n2 4\n3 4\n")
         assert main(["check-order-ideal", bad]) == 1
+
+    def test_check_order_ideal_on_permutations_of_12(self, tmp_path, capsys):
+        # the local test lists nothing of S_12 (479,001,600 permutations)
+        rest = " ".join(str(v) for v in range(3, 13))
+        top = " ".join(str(v) for v in range(12, 0, -1))
+        down = write(tmp_path, "d.txt", f"n=12 mode=tuple\n1 2 {rest}\n2 1 {rest}\n")
+        up = write(tmp_path, "u.txt", f"n=12 mode=tuple\n1 2 {rest}\n{top}\n")
+        start = time.perf_counter()
+        assert main(["check-order-ideal", down]) == 0
+        assert main(["check-order-ideal", up]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == "holds\nfails\n"
 
     def test_check_linear_extension(self, tmp_path):
         good = write(tmp_path, "l.txt", "n=8 mode=sorted\n3 5 7\n2 6 8\n4 6 8\n")

@@ -6,13 +6,15 @@ pair-by-pair ridge scan for ``is_shelling_order``, the ridge-list test
 for ``_append_ok``, edge-set scans for ``LabeledGraph`` lookups and
 ``track``, one recursion per enumerator for the iterative order walker,
 separate basis-exchange and quasi-exchange scans for the shared
-exchange routine, and pairwise ``leq`` scans for the dominance-row order
-kernels.  Sequences are random k-subset and flag-vertex
-sequences, most of them not shelling orders, plus grown shelling orders
-with and without a transposition that may break them.
+exchange routine, pairwise ``leq`` scans for the dominance-row order
+kernels and the greatest-element scan, and the scan of the whole ambient
+quotient for the local down-set test.  Sequences are random k-subset and
+flag-vertex sequences, most of them not shelling orders, plus grown
+shelling orders with and without a transposition that may break them.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +44,7 @@ from shellorder import (
     r_promote,
     shelling_orders,
     track,
+    unique_maximum,
 )
 from shellorder import bruhat
 from shellorder.bruhat import leq, strictly_below_masks
@@ -592,6 +595,14 @@ def order_lists(draw):
     return kind, draw(st.permutations(elems))
 
 
+def reference_unique_maximum(elements, kind):
+    elems = sorted(set(elements), key=canonical_key)
+    for cand in elems:
+        if all(leq(x, cand, kind) for x in elems):
+            return cand
+    return None
+
+
 @settings(max_examples=500, deadline=None)
 @given(order_lists())
 def test_order_kernels_match_pairwise_leq(case):
@@ -599,6 +610,37 @@ def test_order_kernels_match_pairwise_leq(case):
     assert strictly_below_masks(elems, kind) == reference_strictly_below_masks(elems, kind)
     assert induced_covers(elems, kind) == reference_induced_covers(elems, kind)
     assert is_order_ideal(elems, kind) == reference_is_order_ideal(elems, kind)
+    assert unique_maximum(elems, kind) == reference_unique_maximum(elems, kind)
+
+
+def _quotient_ideal_cases(kind, n, k, rng):
+    """Sets over one CONF/PERM quotient: the down-set of every single top
+    and of seeded pairs and triples of tops, each whole and without one
+    seeded element, plus seeded random sets."""
+    universe = list(reference_ambient(kind, n, k))
+    tops = [[y] for y in universe]
+    for size in (2, 3):
+        if len(universe) >= size:
+            tops += [rng.sample(universe, size) for _ in range(8)]
+    for top in tops:
+        down = [y for y in universe if any(leq(y, t, kind) for t in top)]
+        yield down
+        if len(down) > 1:
+            drop = rng.choice(down)
+            yield [y for y in down if y != drop]
+    for _ in range(20):
+        yield rng.sample(universe, rng.randint(1, min(6, len(universe))))
+
+
+@pytest.mark.parametrize(
+    "kind, n, k",
+    [(OrderKind.CONF, n, k) for n in range(1, 6) for k in range(1, n + 1)]
+    + [(OrderKind.PERM, n, n) for n in range(1, 6)],
+)
+def test_local_order_ideal_test_matches_ambient_scan(kind, n, k):
+    rng = random.Random(f"{kind.value}-{n}-{k}")
+    for elems in _quotient_ideal_cases(kind, n, k, rng):
+        assert is_order_ideal(elems, kind) == reference_is_order_ideal(elems, kind)
 
 
 @settings(max_examples=300, deadline=None)
@@ -655,24 +697,61 @@ def test_order_kernels_reject_malformed_lists(kind, elems, error, pairwise_error
         strictly_below_masks(elems, kind)
     with pytest.raises(error):
         induced_covers(elems, kind)
-    if kind is OrderKind.GALE:
-        # the lower-cover test checks the shapes before it looks at covers
-        with pytest.raises(error):
-            is_order_ideal(elems, kind)
+    # the down-set test and the greatest-element scan check the shapes first
+    with pytest.raises(error):
+        is_order_ideal(elems, kind)
+    with pytest.raises(error):
+        unique_maximum(elems, kind)
+
+
+def _refuse_construction(monkeypatch, cls):
+    """Make every later ``cls(...)`` raise: a test that a kernel lists
+    nothing of the ambient quotient, which would build its elements."""
+
+    def refuse(self):
+        raise AssertionError(f"a {cls.__name__} was built")
+
+    monkeypatch.setattr(cls, "__post_init__", refuse)
 
 
 def test_gale_order_ideal_does_not_list_the_ambient_quotient(monkeypatch):
     top = KSubset(20, (4, 8, 12, 16, 20))
     ideal = [y for y in all_ksubsets(20, 5) if gale_leq(y, top)]
-
-    def refuse(*args):
-        raise AssertionError("the ambient quotient was listed")
-
-    monkeypatch.setattr(bruhat, "_ambient", refuse)
+    bottom = KSubset(20, (1, 2, 3, 4, 5))
+    _refuse_construction(monkeypatch, KSubset)
     assert is_order_ideal(ideal, OrderKind.GALE)
     assert not is_order_ideal(ideal[1:], OrderKind.GALE)  # without 12345
     assert not is_order_ideal([top], OrderKind.GALE)
-    assert is_order_ideal([KSubset(20, (1, 2, 3, 4, 5))], OrderKind.GALE)
+    assert is_order_ideal([bottom], OrderKind.GALE)
+
+
+def test_conf_and_perm_order_ideals_do_not_list_the_ambient_quotient(monkeypatch):
+    n = 12
+    rest = tuple(range(5, n + 1))
+    identity = FlagTuple(n, tuple(range(1, n + 1)))
+    s1 = FlagTuple(n, (2, 1, 3, 4) + rest)
+    s2 = FlagTuple(n, (1, 3, 2, 4) + rest)
+    # the Bruhat interval below 3412 lies in the copy of S_4 on [4]
+    top = FlagTuple(n, (3, 4, 1, 2) + rest)
+    interval = [
+        FlagTuple(n, head + rest)
+        for head in itertools.permutations(range(1, 5))
+        if leq(FlagTuple(n, head + rest), top, OrderKind.PERM)
+    ]
+    conf_top = FlagTuple(n, (3, 1, 2))
+    conf_ideal = [y for y in all_flag_tuples(n, 3) if leq(y, conf_top, OrderKind.CONF)]
+    far = FlagTuple(n, (12, 11, 10))
+    _refuse_construction(monkeypatch, FlagTuple)
+    for kind in (OrderKind.CONF, OrderKind.PERM):
+        assert is_order_ideal([identity, s1], kind)
+        assert not is_order_ideal([identity, top], kind)
+        assert is_order_ideal(interval, kind)
+        assert not is_order_ideal(interval[1:], kind)  # without the identity
+        assert not is_order_ideal([y for y in interval if y != s2], kind)
+    assert len(interval) == 14
+    assert is_order_ideal(conf_ideal, OrderKind.CONF)
+    assert not is_order_ideal(conf_ideal + [far], OrderKind.CONF)
+    assert not is_order_ideal([far], OrderKind.CONF)
 
 
 def test_first_extension_of_1035_facets_needs_no_pairwise_leq(monkeypatch):
