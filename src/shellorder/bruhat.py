@@ -156,26 +156,25 @@ def _conf_profile(values: Iterable[int]) -> tuple:
     return tuple(flat)
 
 
+def _gale_key(values: Iterable[int]) -> tuple:
+    return tuple(sorted(values))
+
+
 def _dominance_key(kind: OrderKind):
     """The map from an element's values (or any run of values) to the
     coordinates that ``kind`` compares: x <= y iff key(x) <= key(y) in
     every coordinate.  Sorted values for the Gale order, every sorted
-    prefix flattened for the others."""
-    return sorted if kind is OrderKind.GALE else _conf_profile
+    prefix flattened for the others; a tuple either way."""
+    return _gale_key if kind is OrderKind.GALE else _conf_profile
 
 
-def _greatest(keys: list) -> int | None:
-    """The index of the key that dominates every key, or None.
+def _greatest(keys: list[tuple]) -> int | None:
+    """The index of the first key that dominates every key, or None.
 
-    One candidate pass is enough: a greatest key, when it exists, absorbs
-    the candidate and survives every later comparison."""
-    best = 0
-    for i in range(1, len(keys)):
-        if all(a <= b for a, b in zip(keys[best], keys[i])):
-            best = i
-    top = keys[best]
-    dominated = (all(a <= b for a, b in zip(key, top)) for key in keys)
-    return best if all(dominated) else None
+    A key dominates every key iff it equals their column-wise maximum,
+    so that maximum is the only candidate."""
+    top = tuple(map(max, zip(*keys)))
+    return keys.index(top) if top in keys else None
 
 
 def _check_operands(elems: list, kind: OrderKind) -> None:
@@ -318,5 +317,5 @@ def linear_extensions(elements: Iterable, kind: OrderKind) -> Iterator[FacetSequ
         raise ValueError("cannot extend an empty set")
     return (
         FacetSequence(tuple(elems[t] for t in order))
-        for order, _ in _walk_orders(strictly_below_masks(elems, kind))
+        for order in _walk_orders(strictly_below_masks(elems, kind))
     )

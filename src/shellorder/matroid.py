@@ -56,25 +56,43 @@ def _exchange(facets: Iterable[KSubset], quasi: bool) -> MatroidVerdict:
     the family.  The threshold is 0 for basis exchange and max(y\\x) for
     quasi-exchange; when y\\x is empty, quasi-exchange demands nothing
     (no i exceeds the maximum of the empty set) while basis exchange
-    fails on any i in x\\y."""
+    fails on any i in x\\y.
+
+    Per x, ``reach`` maps the bit of an i in x to the bits of the j with
+    x - i + j in the family, found when i is first demanded; then i
+    trades against y iff ``reach[i] & (y\\x)``.  The first failure, over
+    x, then y, then i ascending, is the witness."""
     elems = _sorted_ksubsets(facets)
-    masks = {x.mask for x in elems}
-    for x in elems:
-        for y in elems:
-            gain = y.mask & ~x.mask
-            if quasi and not gain:
-                continue
-            top = gain.bit_length() if quasi else 0  # quasi: max(y\x), 1-indexed
-            for i in x.members:
-                if i <= top or y.mask >> (i - 1) & 1:
+    masks = [x.mask for x in elems]
+    present = set(masks)
+    span = 0
+    for m in masks:
+        span |= m
+    for x, xm in zip(elems, masks):
+        outside = span & ~xm  # a j outside the span is in no member
+        reach: dict[int, int] = {}
+        for y, ym in zip(elems, masks):
+            gain = ym & ~xm
+            if quasi:
+                if not gain:
                     continue
-                base = x.mask ^ (1 << (i - 1))
-                if not any(
-                    base | (1 << (j - 1)) in masks
-                    for j in y.members
-                    if gain >> (j - 1) & 1
-                ):
-                    return MatroidVerdict(False, ExchangeWitness(x, y, i))
+                # only the i above max(y\x) must trade
+                lost = xm & ~ym & -(1 << gain.bit_length())
+            else:
+                lost = xm & ~ym
+            while lost:
+                bit = lost & -lost
+                if bit not in reach:
+                    base, js, hits = xm ^ bit, outside, 0
+                    while js:
+                        j = js & -js
+                        if base | j in present:
+                            hits |= j
+                        js ^= j
+                    reach[bit] = hits
+                if not reach[bit] & gain:
+                    return MatroidVerdict(False, ExchangeWitness(x, y, bit.bit_length()))
+                lost ^= bit
     return MatroidVerdict(True)
 
 

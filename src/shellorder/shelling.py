@@ -18,6 +18,7 @@ from .core import (
     KSubset,
     LabeledGraph,
     PureComplex,
+    _bits,
     canonical_key,
 )
 
@@ -113,32 +114,42 @@ def _append_ok(placed: list[int], cand: int, k: int) -> bool:
 
 def _walk_orders(
     below: list[int], masks: Optional[list[int]] = None, k: int = 0
-) -> Iterator[tuple[list[int], bool]]:
+) -> Iterator[list[int]]:
     """Depth-first walk over the orders of indices 0..h-1 that place every
     index after all of its below-mask, candidates tried in ascending index.
+    Yields each full order as the walker's own list: copy it before
+    resuming.  The stack is explicit, so h is not bounded by the
+    recursion limit.
 
     With facet masks, a candidate must also pass ``_append_ok`` against
-    the facets already placed.  Yields ``(order, True)`` for each full
-    order and ``(prefix, False)`` for each rejected prefix (ending in the
-    rejected candidate), whose branch is pruned.  A full order is the
-    walker's own list: copy it before resuming.  The stack is explicit,
-    so h is not bounded by the recursion limit.
+    the facets already placed.  That test depends only on the set
+    already placed, so whether a prefix completes depends only on its
+    set: the walk remembers each set whose subtree gave no full order
+    and never enters it again, so it visits at most 2^h dead sets.
+    Without masks every placed set completes.
     """
     h = len(below)
     order: list[int] = []
     placed: list[int] = []
-    used = t = 0
+    found: list[int] = []  # full orders yielded when each placed index went in
+    dead: set[int] = set()
+    complete = used = t = 0
     while True:
         while t < h:  # the next candidate at this depth, from t on
             bit = 1 << t
-            if not used & bit and not below[t] & ~used:
-                if masks is None or _append_ok(placed, masks[t], k):
-                    break
-                yield order + [t], False
+            if (
+                not used & bit
+                and not below[t] & ~used
+                and used | bit not in dead
+                and (masks is None or _append_ok(placed, masks[t], k))
+            ):
+                break
             t += 1
         else:  # none left: backtrack and resume after the last placed
             if not order:
                 return
+            if found.pop() == complete:
+                dead.add(used)
             t = order.pop()
             used ^= 1 << t
             if masks is not None:
@@ -149,11 +160,76 @@ def _walk_orders(
         used |= bit
         if masks is not None:
             placed.append(masks[t])
+        found.append(complete)
         if len(order) < h:
             t = 0
         else:
-            yield order, True
+            complete += 1
+            yield order
             t = h  # exhausted: backtrack
+
+
+def _tally_orders(
+    below: list[int], masks: list[int], k: int
+) -> tuple[int, int, Optional[list[int]]]:
+    """``(checks, rejections, first rejected prefix or None)`` of the
+    orders of ``below`` with ``_append_ok`` on ``masks`` checked at every
+    append, without listing the orders: one check per full order and one
+    per rejected prefix (ending in the rejected candidate, whose branch
+    is pruned).
+
+    The walk below a prefix depends only on its set U, an order ideal, so
+    a DP over the ideals reached from the empty set gives every count:
+    over the candidates t of U, an accepted t adds the counts of U + t
+    and a rejected t adds one check and one rejection; the full set
+    counts one check.  The first rejected prefix is found by a descent
+    in ascending index into the first rejected candidate or the first
+    accepted one whose ideal counts a rejection: the depth-first
+    visit order.  The stack is explicit; the work is one ``_append_ok`` per
+    candidate of each ideal reached.
+    """
+    h = len(below)
+    if not h:
+        return 0, 0, None
+    counts = {(1 << h) - 1: (1, 0)}  # ideal -> (checks, rejections) below it
+    moves: dict[int, list[tuple[int, bool]]] = {}  # ideal -> (candidate, accepted)
+    stack = [0]
+    while stack:
+        used = stack[-1]
+        if used in counts:
+            stack.pop()
+            continue
+        if used not in moves:
+            placed = [masks[t] for t in _bits(used)]
+            moves[used] = step = [
+                (t, _append_ok(placed, masks[t], k))
+                for t in range(h)
+                if not used >> t & 1 and not below[t] & ~used
+            ]
+            todo = [used | 1 << t for t, ok in step if ok and used | 1 << t not in counts]
+            if todo:
+                stack.extend(todo)
+                continue
+        checks = rejections = 0
+        for t, ok in moves[used]:
+            c, r = counts[used | 1 << t] if ok else (1, 1)
+            checks += c
+            rejections += r
+        counts[used] = checks, rejections
+        stack.pop()
+    checks, rejections = counts[0]
+    if not rejections:
+        return checks, 0, None
+    prefix: list[int] = []
+    used = 0
+    while True:
+        for t, ok in moves[used]:
+            if not ok:
+                return checks, rejections, prefix + [t]
+            if counts[used | 1 << t][1]:
+                prefix.append(t)
+                used |= 1 << t
+                break
 
 
 def shelling_orders(complex_: PureComplex) -> Iterator[FacetSequence]:
@@ -168,8 +244,7 @@ def shelling_orders(complex_: PureComplex) -> Iterator[FacetSequence]:
     masks, k = facet_masks(tuple(facets))
     return (
         FacetSequence(tuple(facets[t] for t in order))
-        for order, ok in _walk_orders([0] * len(facets), masks, k)
-        if ok
+        for order in _walk_orders([0] * len(facets), masks, k)
     )
 
 

@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .bruhat import (
     OrderKind,
@@ -46,6 +46,7 @@ from .matroid import (
 from .promotion import GraphKind, promote, promote_via_moves, evacuate
 from .shelling import (
     _append_ok,
+    _tally_orders,
     _walk_orders,
     facet_masks,
     is_shelling_order,
@@ -54,6 +55,7 @@ from .shelling import (
 from .subdivision import barycentric, flag_facet
 
 EXHAUSTIVE_MAX_N = 6
+FAMILY_MAX_BITS = 24  # subset sweeps visit 2^m families of an m-element universe
 SEEDED_MAX_FACETS = 10_000  # seeded corpora list all C(n, k) facets
 
 
@@ -124,44 +126,53 @@ def _run_chunked(worker, args_list: list, jobs: int) -> list:
 def _tally(verdicts: Iterable[Optional[str]]) -> tuple[int, int, Optional[str]]:
     """(checks, failures, first counterexample) over one verdict per
     check: None when the check passes, else its counterexample."""
+    return _sum_tallies((1, bad is not None, bad) for bad in verdicts)
+
+
+def _sum_tallies(
+    tallies: Iterable[tuple[int, int, Optional[str]]]
+) -> tuple[int, int, Optional[str]]:
+    """The sum of (checks, failures, first counterexample) tallies, taken
+    in order: the first counterexample is the first one present."""
     checks = failures = 0
     first: Optional[str] = None
-    for bad in verdicts:
-        checks += 1
-        if bad is not None:
-            failures += 1
-            if first is None:
-                first = bad
+    for c, f, bad in tallies:
+        checks += c
+        failures += f
+        if first is None:
+            first = bad
     return checks, failures, first
 
 
 def _merge(suite: str, parts: list, started: float, instances: int) -> RunReport:
-    checks = sum(p[0] for p in parts)
-    failures = sum(p[1] for p in parts)
-    first = next((p[2] for p in parts if p[2] is not None), None)
+    checks, failures, first = _sum_tallies(parts)
     return RunReport(suite, instances, checks, failures, first, time.perf_counter() - started)
 
 
-def _extension_verdicts(
+def _extension_tally(
     elems: list, kind: OrderKind, fmasks: list[int], k: int, describe
-) -> Iterator[Optional[str]]:
-    """One verdict per linear extension of the sorted ``elems``, with the
-    shelling condition on ``fmasks`` checked at every append.
+) -> tuple[int, int, Optional[str]]:
+    """(checks, failures, first counterexample) over the linear extensions
+    of the sorted ``elems``, with the shelling condition on ``fmasks``
+    checked at every append: one check per extension and per rejected
+    prefix.
 
     A failed append dooms every completion of that prefix, so the branch
     is pruned and counts as one failed check; its counterexample is
-    ``describe`` of the formatted prefix."""
-    return (
-        None if ok else describe(_fmt_seq(elems[t] for t in order))
-        for order, ok in _walk_orders(strictly_below_masks(elems, kind), fmasks, k)
-    )
+    ``describe`` of the formatted prefix.  The counts come from the DP
+    over order ideals, ``_tally_orders``, not from listing extensions."""
+    checks, failures, first = _tally_orders(strictly_below_masks(elems, kind), fmasks, k)
+    if first is None:
+        return checks, failures, None
+    return checks, failures, describe(_fmt_seq(elems[t] for t in first))
 
 
 # --- subset sweeps ----------------------------------------------------------
 #
-# A subset sweep visits families given as bitmasks over a universe.  Its
-# set-up runs once per chunk, in the worker, and returns the per-family
-# check: a function from a nonempty family mask to its verdicts.
+# A subset sweep visits families given as bitmasks over a universe of at
+# most ``FAMILY_MAX_BITS`` elements.  Its set-up runs once per chunk, in
+# the worker, and returns the per-family check: a function from a
+# nonempty family mask to its (checks, failures, first counterexample).
 # ``_FAMILY_SWEEPS`` names each sweep's families and set-up.
 
 
@@ -169,13 +180,15 @@ def _family_chunk(args: tuple) -> tuple[int, int, Optional[str]]:
     suite, n, k, families = args
     check = _FAMILY_SWEEPS[suite][1](n, k)
     # the empty family has nothing to check
-    return _tally(itertools.chain.from_iterable(check(m) for m in families if m))
+    return _sum_tallies(check(m) for m in families if m)
 
 
 def _sweep_families(suite: str, n: int, k: int, jobs: int) -> RunReport:
     _guard_exhaustive(n)
     started = time.perf_counter()
     families = _FAMILY_SWEEPS[suite][0](n, k)
+    if not families:
+        raise ValueError(f"{suite} has no families to sweep at n = {n}, k = {k}")
     args = [(suite, n, k, families[lo:hi]) for lo, hi in _chunks(len(families))]
     parts = _run_chunked(_family_chunk, args, jobs)
     return _merge(suite, parts, started, len(families))
@@ -191,15 +204,15 @@ def _ksubset_families(n: int, k: int) -> range:
 def _extensions_shell_setup(n: int, k: int):
     facets = list(all_ksubsets(n, k))
 
-    def check(mask: int) -> Iterable[Optional[str]]:
+    def check(mask: int) -> tuple[int, int, Optional[str]]:
         X = [facets[t] for t in _bits(mask)]
         if not has_quasi_exchange(X).holds:
             # matroids and order ideals always have quasi-exchange
             if is_matroid(X).holds or is_order_ideal(X, OrderKind.GALE):
-                return [f"matroid/ideal without quasi-exchange: {_fmt_set(X)}"]
-            return []
+                return 1, 1, f"matroid/ideal without quasi-exchange: {_fmt_set(X)}"
+            return 0, 0, None
         elems = sorted(X, key=canonical_key)
-        return _extension_verdicts(
+        return _extension_tally(
             elems,
             OrderKind.GALE,
             [x.mask for x in elems],
@@ -224,13 +237,13 @@ def extensions_shell(n: int, k: int, jobs: int = 1) -> RunReport:
 def _barycentric_coxeter_setup(n: int, k: int):
     facets = list(all_ksubsets(n, k))
 
-    def check(mask: int) -> Iterable[Optional[str]]:
+    def check(mask: int) -> tuple[int, int, Optional[str]]:
         X = [facets[t] for t in _bits(mask)]
         lhs = is_matroid(X).holds
         rhs = is_coxeter_matroid(barycentric(PureComplex.of(X)))
         if lhs != rhs:
-            return [f"X={_fmt_set(X)}: exchange={lhs} but subdivision maximality={rhs}"]
-        return [None]
+            return 1, 1, f"X={_fmt_set(X)}: exchange={lhs} but subdivision maximality={rhs}"
+        return 1, 0, None
 
     return check
 
@@ -245,21 +258,29 @@ def barycentric_coxeter(n: int, k: int, jobs: int = 1) -> RunReport:
 
 
 def _flag_tuple_families(n: int, k: int) -> range:
-    return range(1 << sum(1 for _ in all_flag_tuples(n, k)))
+    # n <= 6 keeps every k-subset universe at most C(6, 3) = 20 elements,
+    # but not this one: (6, 2) has 30 flag tuples and (5, 3) has 60
+    m = sum(1 for _ in all_flag_tuples(n, k))
+    if m > FAMILY_MAX_BITS:
+        raise ValueError(
+            f"subset sweeps are guarded at universes of at most {FAMILY_MAX_BITS} "
+            f"elements, got {m} at n = {n}, k = {k}"
+        )
+    return range(1 << m)
 
 
 def _conf_ideals_setup(n: int, k: int):
     elems_all = list(all_flag_tuples(n, k))
     below_all = strictly_below_masks(elems_all, OrderKind.CONF)
 
-    def check(mask: int) -> Iterable[Optional[str]]:
+    def check(mask: int) -> tuple[int, int, Optional[str]]:
         idx = _bits(mask)
         # downward closed in the ambient quotient
         if any(below_all[t] & ~mask for t in idx):
-            return []
+            return 0, 0, None
         elems = sorted((elems_all[t] for t in idx), key=canonical_key)
         fmasks, size = facet_masks(tuple(flag_facet(y) for y in elems))
-        return _extension_verdicts(
+        return _extension_tally(
             elems,
             OrderKind.CONF,
             fmasks,
@@ -481,7 +502,7 @@ def _ideal_and_interval_masks(n: int, k: int) -> list[int]:
 def _hasse_vs_dual_setup(n: int, k: int):
     facets = list(all_ksubsets(n, k))
 
-    def check(mask: int) -> Iterable[Optional[str]]:
+    def check(mask: int) -> tuple[int, int, Optional[str]]:
         elems = sorted((facets[t] for t in _bits(mask)), key=canonical_key)
         cover_pairs = induced_covers(set(elems), OrderKind.GALE)
         dual_ok = all(
@@ -497,7 +518,7 @@ def _hasse_vs_dual_setup(n: int, k: int):
             return None
 
         below = strictly_below_masks(elems, OrderKind.GALE)
-        return (verdict(order) for order, _ in _walk_orders(below))
+        return _tally(verdict(order) for order in _walk_orders(below))
 
     return check
 
@@ -542,8 +563,18 @@ def _remark_setup(n: int, k: int):
             return f"ridge pair ({_fmt_facet(a)},{_fmt_facet(b)}) incomparable"
         return None
 
-    def check(mask: int) -> Iterable[Optional[str]]:
-        return itertools.starmap(verdict, itertools.combinations(_bits(mask), 2))
+    # a pair's verdict depends on the pair alone: judge each pair once,
+    # in the order ``combinations`` visits them in any family
+    bad = []
+    for s, t in itertools.combinations(range(len(facets)), 2):
+        message = verdict(s, t)
+        if message is not None:
+            bad.append((1 << s | 1 << t, message))
+
+    def check(mask: int) -> tuple[int, int, Optional[str]]:
+        inside = [message for pair, message in bad if mask & pair == pair]
+        size = mask.bit_count()
+        return size * (size - 1) // 2, len(inside), inside[0] if inside else None
 
     return check
 

@@ -212,6 +212,17 @@ class TestCommands:
         found = parse_input(capsys.readouterr().out, as_sequence=True)
         assert len(found) == len(facets)
 
+    def test_find_shelling_gives_up_fast_on_k5_plus_an_edge(self, tmp_path, capsys):
+        # no order of K5's ten edges and a disjoint edge shells; the
+        # search visits each set of placed facets once, not 11! orders
+        edges = [" ".join(map(str, e)) for e in all_ksubsets(5, 2)]
+        path = write(tmp_path, "k5.txt", "n=7 mode=sorted\n" + "\n".join(edges) + "\n6 7\n")
+        start = time.perf_counter()
+        assert main(["find-shelling", path]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "no shelling order\n")
+
     def test_barycentric_output(self, tmp_path, capsys):
         path = write(tmp_path, "b.txt", "n=4 mode=sorted\n2 4\n3 4\n")
         assert main(["barycentric", path]) == 0
@@ -338,6 +349,35 @@ class TestVerifyCommand:
         argv = ["verify", "promotion-shell", "--n", "14", "--k", "7", "--samples", "1"]
         assert main(argv) == 0
         assert "instances: 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "suite, n, k, size",
+        [
+            ("conf-ideals-flagshell", 6, 3, 120),
+            ("conf-ideals-flagshell", 5, 3, 60),
+            ("conf-ideals-flagshell", 6, 2, 30),
+        ],
+    )
+    def test_subset_sweep_universe_above_its_bound_rejected(
+        self, suite, n, k, size, capsys
+    ):
+        # 2^120 families would be split into chunks before any check
+        assert len(suites._flag_tuple_families(4, 3)) == 1 << suites.FAMILY_MAX_BITS
+        assert main(["verify", suite, "--n", str(n), "--k", str(k)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: subset sweeps are guarded at universes of at most "
+            f"{suites.FAMILY_MAX_BITS} elements, got {size} at n = {n}, k = {k}\n"
+        )
+        assert captured.out == ""
+
+    def test_subset_sweep_without_families_rejected(self, capsys):
+        assert main(["verify", "hasse-vs-dual", "--n", "3", "--k", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: hasse-vs-dual has no families to sweep at n = 3, k = 5\n"
+        )
+        assert captured.out == ""
 
     def test_parallel_workers_match_sequential(self, capsys):
         assert main(["verify", "remark-bruhat-graph", "--n", "4", "--k", "2"]) == 0

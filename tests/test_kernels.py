@@ -7,14 +7,20 @@ for ``_append_ok``, edge-set scans for ``LabeledGraph`` lookups and
 ``track``, one recursion per enumerator for the iterative order walker,
 separate basis-exchange and quasi-exchange scans for the shared
 exchange routine, pairwise ``leq`` scans for the dominance-row order
-kernels and the greatest-element scan, and the scan of the whole ambient
-quotient for the local down-set test.  Sequences are random k-subset and
+kernels and the greatest-element scan, the scan of the whole ambient
+quotient for the local down-set test, and, for the per-family kernels of
+the subset sweeps, the extension walk for the DP over order ideals and
+the per-pair scan for the pair table.  Sequences are random k-subset and
 flag-vertex sequences, most of them not shelling orders, plus grown
 shelling orders with and without a transposition that may break them.
 """
 
+import functools
 import itertools
+import math
+import multiprocessing
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,13 +52,13 @@ from shellorder import (
     track,
     unique_maximum,
 )
-from shellorder import bruhat
+from shellorder import bruhat, shelling, suites
 from shellorder.bruhat import leq, strictly_below_masks
-from shellorder.core import canonical_key
+from shellorder.core import _bits, canonical_key
 from shellorder.matroid import ExchangeWitness, MatroidVerdict
-from shellorder.shelling import _append_ok, _walk_orders, facet_masks
+from shellorder.shelling import _append_ok, _tally_orders, _walk_orders, facet_masks
 from shellorder.subdivision import flag_facet
-from shellorder.suites import _extension_verdicts, _fmt_seq, _tally
+from shellorder.suites import _extension_tally, _fmt_seq, _tally
 
 
 def reference_is_shelling_order(seq):
@@ -295,7 +301,7 @@ def reference_walk_extensions_checking(below, fmasks, k, describe):
             bit = 1 << t
             if used & bit or below[t] & ~used:
                 continue
-            if _append_ok(placed, fmasks[t], k):
+            if shelling._append_ok(placed, fmasks[t], k):
                 prefix.append(t)
                 placed.append(fmasks[t])
                 rec(used | bit)
@@ -312,14 +318,14 @@ def reference_walk_extensions_checking(below, fmasks, k, describe):
 
 
 def reference_walk(below, masks=None, k=0):
-    """The recursion of the reference enumerators, yielding what the
-    walker yields: (full order, True) and (rejected prefix, False)."""
+    """The recursion of the reference enumerators, yielding the full
+    orders the walker yields."""
     h = len(below)
     prefix, placed = [], []
 
     def rec(used):
         if len(prefix) == h:
-            yield tuple(prefix), True
+            yield tuple(prefix)
             return
         for t in range(h):
             bit = 1 << t
@@ -333,8 +339,6 @@ def reference_walk(below, masks=None, k=0):
                 prefix.pop()
                 if masks is not None:
                     placed.pop()
-            else:
-                yield tuple(prefix) + (t,), False
 
     return rec(0)
 
@@ -370,19 +374,9 @@ def walks(draw):
 @given(walks())
 def test_walker_matches_recursion(walk):
     below, masks, k = walk
-    assert [(tuple(o), ok) for o, ok in _walk_orders(below)] == list(
-        reference_walk(below)
-    )
-    got = [(tuple(o), ok) for o, ok in _walk_orders(below, masks, k)]
+    assert [tuple(o) for o in _walk_orders(below)] == list(reference_walk(below))
+    got = [tuple(o) for o in _walk_orders(below, masks, k)]
     assert got == list(reference_walk(below, masks, k))
-
-    def describe(prefix):
-        return "prefix " + ",".join(map(str, prefix))
-
-    verdicts = (None if ok else describe(o) for o, ok in _walk_orders(below, masks, k))
-    assert _tally(verdicts) == reference_walk_extensions_checking(
-        below, masks, k, describe
-    )
 
 
 @st.composite
@@ -419,8 +413,8 @@ def test_linear_extensions_and_shelling_tallies_match_recursion(case):
     def describe(prefix):
         return f"extension prefix {prefix} is not a shelling prefix"
 
-    assert _tally(
-        _extension_verdicts(elems, kind, fmasks, k, describe)
+    assert _extension_tally(
+        elems, kind, fmasks, k, describe
     ) == reference_walk_extensions_checking(
         strictly_below_masks(elems, kind),
         fmasks,
@@ -765,3 +759,170 @@ def test_first_extension_of_1035_facets_needs_no_pairwise_leq(monkeypatch):
     first = next(linear_extensions(facets, OrderKind.GALE))
     assert len(first) == 1_035
     assert first.items == facets
+
+
+# --- the per-family sweep kernels against recursions and per-pair scans ------
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks())
+def test_ideal_dp_matches_recursion(walk):
+    below, masks, k = walk
+    checks, failures, first = _tally_orders(below, masks, k)
+    assert (
+        checks, failures, None if first is None else tuple(first)
+    ) == reference_walk_extensions_checking(below, masks, k, tuple)
+
+
+def recursive_extension_tally(elems, kind, fmasks, k, describe):
+    """The extension walk that the ideal DP replaced, as a recursion."""
+    return reference_walk_extensions_checking(
+        strictly_below_masks(elems, kind),
+        fmasks,
+        k,
+        lambda idx: describe(_fmt_seq(elems[t] for t in idx)),
+    )
+
+
+def fork_pool(monkeypatch):
+    """Workers forked from this process, so they see its patches."""
+    context = multiprocessing.get_context("fork")
+    pool = functools.partial(ProcessPoolExecutor, mp_context=context)
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 2)
+
+
+def _report(report):
+    return report.instances, report.checks, report.failures, report.first_counterexample
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "sweep, n, k",
+    [
+        (suites.extensions_shell, 4, 2),
+        (suites.extensions_shell, 5, 2),
+        (suites.extensions_shell, 5, 3),
+        (suites.conf_ideals_flagshell, 3, 2),
+        (suites.conf_ideals_flagshell, 4, 2),
+    ],
+)
+@pytest.mark.parametrize("salt", [0, 3])
+def test_extension_sweeps_match_the_recursion_with_rejecting_appends(
+    monkeypatch, sweep, n, k, jobs, salt
+):
+    fork_pool(monkeypatch)
+
+    def rejecting(placed, cand, k):
+        # a function of the placed set, as the DP requires; rejects about
+        # a fifth of the appends the shelling condition accepts
+        return _append_ok(placed, cand, k) and (sum(placed) * 7 + cand + salt) % 5 != 0
+
+    monkeypatch.setattr(shelling, "_append_ok", rejecting)
+    got = _report(sweep(n, k, jobs=jobs))
+    monkeypatch.setattr(suites, "_extension_tally", recursive_extension_tally)
+    want = _report(sweep(n, k, jobs=jobs))
+    assert got == want
+    assert got[2] > 0
+
+
+@pytest.mark.parametrize(
+    "sweep, n, k", [(suites.extensions_shell, 5, 2), (suites.conf_ideals_flagshell, 4, 2)]
+)
+def test_extension_sweeps_match_the_recursion(monkeypatch, sweep, n, k):
+    got = _report(sweep(n, k))
+    monkeypatch.setattr(suites, "_extension_tally", recursive_extension_tally)
+    assert got == _report(sweep(n, k))
+
+
+def reference_remark_setup(n, k):
+    """The per-pair scan that the pair table replaced."""
+    facets = list(all_ksubsets(n, k))
+    exchange = {y: suites._transposition_neighbors(y) for y in facets}
+    below = bruhat._below_rows(facets, OrderKind.GALE)
+
+    def verdict(s, t):
+        a, b = facets[s], facets[t]
+        pair = f"({suites._fmt_facet(a)},{suites._fmt_facet(b)})"
+        is_ridge = (a.mask & b.mask).bit_count() == k - 1
+        if is_ridge != (a in exchange[b]):
+            return f"ridge/reflection mismatch on {pair}"
+        if is_ridge and not (below[t] >> s & 1 or below[s] >> t & 1):
+            return f"ridge pair {pair} incomparable"
+        return None
+
+    def check(mask):
+        return _tally(itertools.starmap(verdict, itertools.combinations(_bits(mask), 2)))
+
+    return check
+
+
+def _broken_neighbors(drop):
+    honest = suites._transposition_neighbors
+
+    def broken(y):
+        # drop the neighbours whose mask meets y's in a chosen residue
+        return {z for z in honest(y) if (z.mask * 3 + y.mask) % 7 != drop}
+
+    return broken
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("n, k, drop", [(4, 2, 0), (5, 2, 2), (5, 3, 5), (6, 2, 1)])
+def test_pair_table_matches_per_pair_scan(monkeypatch, n, k, drop, jobs):
+    fork_pool(monkeypatch)
+    monkeypatch.setattr(suites, "_transposition_neighbors", _broken_neighbors(drop))
+    table, scan = suites._remark_setup(n, k), reference_remark_setup(n, k)
+    for mask in range(1, 1 << min(math.comb(n, k), 10)):
+        assert table(mask) == scan(mask)
+    got = _report(suites.remark_bruhat_graph(n, k, jobs=jobs))
+    monkeypatch.setitem(
+        suites._FAMILY_SWEEPS,
+        "remark-bruhat-graph",
+        (suites._ksubset_families, reference_remark_setup),
+    )
+    want = _report(suites.remark_bruhat_graph(n, k, jobs=jobs))
+    assert got == want
+    assert got[2] > 0
+
+
+def reference_greatest(keys):
+    """The first key that dominates every key, by pairwise comparison."""
+    for i, top in enumerate(keys):
+        if all(all(a <= b for a, b in zip(key, top)) for key in keys):
+            return i
+    return None
+
+
+@st.composite
+def key_lists(draw):
+    d = draw(st.integers(1, 4))
+    keys = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=8
+        )
+    )
+    if draw(st.booleans()):
+        # plant the column-wise maximum, so a greatest key exists
+        top = tuple(map(max, zip(*keys)))
+        keys.insert(draw(st.integers(0, len(keys))), top)
+    return keys
+
+
+@settings(max_examples=500, deadline=None)
+@given(key_lists())
+def test_greatest_matches_pairwise_scan(keys):
+    assert bruhat._greatest(keys) == reference_greatest(keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 7).flatmap(
+    lambda n: st.integers(1, n - 1).flatmap(
+        lambda k: st.lists(
+            st.sets(st.integers(1, n), min_size=k, max_size=k), min_size=1, max_size=12
+        ).map(lambda sets: [KSubset(n, tuple(s)) for s in sets])
+    )
+))
+def test_exchange_verdicts_match_on_random_families(family):
+    assert is_matroid(family) == reference_is_matroid(family)
+    assert has_quasi_exchange(family) == reference_has_quasi_exchange(family)
