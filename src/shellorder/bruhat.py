@@ -195,20 +195,16 @@ def _check_operands(elems: list, kind: OrderKind) -> None:
         _require_permutation(first, "u")
 
 
-def _below_rows(elems: list, kind: OrderKind) -> list[int]:
+def strictly_below_masks(elems: list, kind: OrderKind) -> list[int]:
     """For each index i, the bitmask of the other indices j with
     elems[j] <= elems[i]; equal elements count as below each other.
 
     Per coordinate of the dominance key, the indices are bucketed by
     value and the buckets accumulated upwards into "at most this value"
     masks; a row is the AND of its element's masks.  O(m·d) integer
-    operations for m elements with d key coordinates.  The checks of
-    ``leq`` run only when there is a pair to compare, as with pairwise
-    ``leq``.
-
-    Kernels here and in ``suites`` call this directly, so that the
-    traced count of ``strictly_below_masks`` stays a count of its
-    outside callers."""
+    operations for m elements with d key coordinates (k for the Gale
+    order, k(k+1)/2 for the others).  The checks of ``leq`` run only
+    when there is a pair to compare, as with pairwise ``leq``."""
     m = len(elems)
     if m < 2:
         return [0] * m
@@ -226,6 +222,29 @@ def _below_rows(elems: list, kind: OrderKind) -> list[int]:
     return [row & ~(1 << i) for i, row in enumerate(rows)]
 
 
+def order_ideals(below: list[int]) -> Iterator[int]:
+    """Every down-set of the order whose row i holds the indices strictly
+    below index i, as an index mask, in ascending order of the masks.
+
+    The index order must be a linear extension: each row holds smaller
+    indices only.  Indices are decided from the top down; an index that
+    a taken index needs is taken, any other is left out first and taken
+    second.  So no branch dead-ends, and each down-set costs O(m)."""
+    if any(row >> i for i, row in enumerate(below)):
+        raise ValueError("the index order is not a linear extension")
+    stack = [(len(below), 0, 0)]  # (indices left, taken, needed by taken)
+    while stack:
+        i, taken, needed = stack.pop()
+        while i:
+            i -= 1
+            if needed >> i & 1:
+                taken |= 1 << i
+                needed |= below[i]
+            else:
+                stack.append((i, taken | 1 << i, needed | below[i]))
+        yield taken
+
+
 def induced_covers(elements: Iterable, kind: OrderKind) -> set[tuple]:
     """Cover relations of the subposet induced on ``elements``.
 
@@ -235,7 +254,7 @@ def induced_covers(elements: Iterable, kind: OrderKind) -> set[tuple]:
     O(m²) mask operations for m elements with d key coordinates.
     """
     elems = sorted(set(elements), key=canonical_key)
-    below = _below_rows(elems, kind)
+    below = strictly_below_masks(elems, kind)
     covers = set()
     for j, row in enumerate(below):
         deeper = 0
@@ -296,16 +315,8 @@ def is_linear_extension(seq: FacetSequence, elements: Iterable, kind: OrderKind)
     items = seq.items
     if set(items) != set(elements):
         raise ValueError("sequence is not a permutation of the given facets")
-    below = _below_rows(list(items), kind)
+    below = strictly_below_masks(list(items), kind)
     return not any(row >> (i + 1) for i, row in enumerate(below))
-
-
-def strictly_below_masks(elems: list, kind: OrderKind) -> list[int]:
-    """For each index i, the bitmask of indices j != i with
-    elems[j] <= elems[i] (duplicates count as below each other).
-    O(m·d) integer operations for m elements with d key coordinates
-    (k for the Gale order, k(k+1)/2 for the others)."""
-    return _below_rows(elems, kind)
 
 
 def linear_extensions(elements: Iterable, kind: OrderKind) -> Iterator[FacetSequence]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .bruhat import OrderKind, _order_of, induced_covers
+from .bruhat import _order_of, induced_covers
 from .core import FacetSequence, LabeledGraph
 from .shelling import dual_graph
 
@@ -67,42 +67,33 @@ def _rearranged(sigma: PositionPermutation, items: tuple) -> tuple:
     return tuple(out)
 
 
-def graph_of(
-    seq: FacetSequence, kind: GraphKind, order: OrderKind | None = None
-) -> LabeledGraph:
-    """The dual graph, or the Hasse diagram of the order induced on the
-    support with elements replaced by their positions."""
+def graph_of(seq: FacetSequence, kind: GraphKind) -> LabeledGraph:
+    """The dual graph, or the Hasse diagram of the order that the facet
+    alphabet carries (``_order_of``), induced on the support with
+    elements replaced by their positions."""
     if kind is GraphKind.DUAL:
         return dual_graph(seq)
-    order = order if order is not None else _order_of(seq.items[0])
     position = {item: i + 1 for i, item in enumerate(seq.items)}
     edges = {
         (position[lo], position[hi])
-        for lo, hi in induced_covers(seq.support(), order)
+        for lo, hi in induced_covers(seq.support(), _order_of(seq.items[0]))
     }
     return LabeledGraph(len(seq), frozenset(edges))
 
 
-def promote(
-    seq: FacetSequence,
-    kind: GraphKind = GraphKind.DUAL,
-    order: OrderKind | None = None,
-) -> FacetSequence:
-    sigma = promotion_permutation(graph_of(seq, kind, order))
+def promote(seq: FacetSequence, kind: GraphKind = GraphKind.DUAL) -> FacetSequence:
+    sigma = promotion_permutation(graph_of(seq, kind))
     return FacetSequence._trusted(_rearranged(sigma, seq.items))
 
 
 def elementary_move(
-    seq: FacetSequence,
-    i: int,
-    kind: GraphKind = GraphKind.DUAL,
-    order: OrderKind | None = None,
+    seq: FacetSequence, i: int, kind: GraphKind = GraphKind.DUAL
 ) -> FacetSequence:
     """Swap positions i, i+1 unless they are adjacent in the graph."""
     h = len(seq)
     if not 1 <= i <= h - 1:
         raise ValueError(f"move position {i} not within [1, {h - 1}]")
-    if graph_of(seq, kind, order).has_edge(i, i + 1):
+    if graph_of(seq, kind).has_edge(i, i + 1):
         return seq
     items = list(seq.items)
     items[i - 1], items[i] = items[i], items[i - 1]
@@ -118,27 +109,20 @@ def promote_via_moves(seq: FacetSequence) -> FacetSequence:
 
 
 def r_promote(
-    seq: FacetSequence,
-    r: int,
-    kind: GraphKind = GraphKind.DUAL,
-    order: OrderKind | None = None,
+    seq: FacetSequence, r: int, kind: GraphKind = GraphKind.DUAL
 ) -> FacetSequence:
     """Promote the length-r prefix as a standalone sequence."""
     h = len(seq)
     if not 1 <= r <= h:
         raise ValueError(f"prefix length {r} not within [1, {h}]")
     prefix = FacetSequence._trusted(seq.items[:r])
-    promoted = promote(prefix, kind, order)
+    promoted = promote(prefix, kind)
     return FacetSequence._trusted(promoted.items + seq.items[r:])
 
 
-def evacuate(
-    seq: FacetSequence,
-    kind: GraphKind = GraphKind.DUAL,
-    order: OrderKind | None = None,
-) -> FacetSequence:
+def evacuate(seq: FacetSequence, kind: GraphKind = GraphKind.DUAL) -> FacetSequence:
     """Compose the r-promotions for r = h down to 2; an involution for
     the dual graph."""
     for r in range(len(seq), 1, -1):
-        seq = r_promote(seq, r, kind, order)
+        seq = r_promote(seq, r, kind)
     return seq

@@ -21,9 +21,9 @@ from typing import Iterable, Optional
 
 from .bruhat import (
     OrderKind,
-    _below_rows,
     induced_covers,
     is_order_ideal,
+    order_ideals,
     prefix_projection,
     strictly_below_masks,
 )
@@ -55,7 +55,11 @@ from .shelling import (
 from .subdivision import barycentric, flag_facet
 
 EXHAUSTIVE_MAX_N = 6
-FAMILY_MAX_BITS = 24  # subset sweeps visit 2^m families of an m-element universe
+# The CONF quotient (6, 2) has 30 tuples and 297 down-sets, and its
+# sweep ends in 0.46 s; the next CONF universe, (5, 3), has 60 tuples and
+# 28,315 down-sets, and its checks did not end in 600 s.  No n <= 6
+# universe lies between 30 and 60 elements.
+FAMILY_MAX_BITS = 30
 SEEDED_MAX_FACETS = 10_000  # seeded corpora list all C(n, k) facets
 
 
@@ -109,8 +113,8 @@ def _fmt_set(items: Iterable) -> str:
     return "{" + ",".join(_fmt_facet(f) for f in sorted(items, key=canonical_key)) + "}"
 
 
-def _chunks(total: int, pieces: int = 64) -> list[tuple[int, int]]:
-    pieces = min(pieces, total) or 1
+def _chunks(total: int) -> list[tuple[int, int]]:
+    pieces = min(64, total) or 1
     step = -(-total // pieces)
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
@@ -170,10 +174,12 @@ def _extension_tally(
 # --- subset sweeps ----------------------------------------------------------
 #
 # A subset sweep visits families given as bitmasks over a universe of at
-# most ``FAMILY_MAX_BITS`` elements.  Its set-up runs once per chunk, in
-# the worker, and returns the per-family check: a function from a
-# nonempty family mask to its (checks, failures, first counterexample).
-# ``_FAMILY_SWEEPS`` names each sweep's families and set-up.
+# most ``FAMILY_MAX_BITS`` elements.  Its family builder returns the
+# number of instances it reports and the families it checks.  Its set-up
+# runs once per chunk, in the worker, and returns the per-family check: a
+# function from a nonempty family mask to its (checks, failures, first
+# counterexample).  ``_FAMILY_SWEEPS`` names each sweep's builder and
+# set-up.
 
 
 def _family_chunk(args: tuple) -> tuple[int, int, Optional[str]]:
@@ -186,16 +192,17 @@ def _family_chunk(args: tuple) -> tuple[int, int, Optional[str]]:
 def _sweep_families(suite: str, n: int, k: int, jobs: int) -> RunReport:
     _guard_exhaustive(n)
     started = time.perf_counter()
-    families = _FAMILY_SWEEPS[suite][0](n, k)
+    instances, families = _FAMILY_SWEEPS[suite][0](n, k)
     if not families:
         raise ValueError(f"{suite} has no families to sweep at n = {n}, k = {k}")
     args = [(suite, n, k, families[lo:hi]) for lo, hi in _chunks(len(families))]
     parts = _run_chunked(_family_chunk, args, jobs)
-    return _merge(suite, parts, started, len(families))
+    return _merge(suite, parts, started, instances)
 
 
-def _ksubset_families(n: int, k: int) -> range:
-    return range(1 << sum(1 for _ in all_ksubsets(n, k)))
+def _ksubset_families(n: int, k: int) -> tuple[int, range]:
+    families = range(1 << sum(1 for _ in all_ksubsets(n, k)))
+    return len(families), families
 
 
 # --- extensions-shell -------------------------------------------------------
@@ -257,28 +264,25 @@ def barycentric_coxeter(n: int, k: int, jobs: int = 1) -> RunReport:
 # --- conf-ideals-flagshell --------------------------------------------------
 
 
-def _flag_tuple_families(n: int, k: int) -> range:
-    # n <= 6 keeps every k-subset universe at most C(6, 3) = 20 elements,
-    # but not this one: (6, 2) has 30 flag tuples and (5, 3) has 60
-    m = sum(1 for _ in all_flag_tuples(n, k))
+def _flag_tuple_families(n: int, k: int) -> tuple[int, list[int]]:
+    # all 2^m subsets of the m tuples are instances, but only the
+    # down-sets have anything to check.  n <= 6 keeps every k-subset
+    # universe at most C(6, 3) = 20 elements, but not this one
+    elems = list(all_flag_tuples(n, k))
+    m = len(elems)
     if m > FAMILY_MAX_BITS:
         raise ValueError(
             f"subset sweeps are guarded at universes of at most {FAMILY_MAX_BITS} "
             f"elements, got {m} at n = {n}, k = {k}"
         )
-    return range(1 << m)
+    return 1 << m, list(order_ideals(strictly_below_masks(elems, OrderKind.CONF)))
 
 
 def _conf_ideals_setup(n: int, k: int):
     elems_all = list(all_flag_tuples(n, k))
-    below_all = strictly_below_masks(elems_all, OrderKind.CONF)
 
     def check(mask: int) -> tuple[int, int, Optional[str]]:
-        idx = _bits(mask)
-        # downward closed in the ambient quotient
-        if any(below_all[t] & ~mask for t in idx):
-            return 0, 0, None
-        elems = sorted((elems_all[t] for t in idx), key=canonical_key)
+        elems = sorted((elems_all[t] for t in _bits(mask)), key=canonical_key)
         fmasks, size = facet_masks(tuple(flag_facet(y) for y in elems))
         return _extension_tally(
             elems,
@@ -474,7 +478,9 @@ def eq2_oracle(
 # --- hasse-vs-dual ----------------------------------------------------------
 
 
-def _ideal_and_interval_masks(n: int, k: int) -> list[int]:
+def _ideal_and_interval_masks(n: int, k: int) -> tuple[int, list[int]]:
+    """Every nonempty down-set of the k-subset quotient, in ascending
+    order, then every interval that is not one of them."""
     facets = list(all_ksubsets(n, k))
     m = len(facets)
     below = strictly_below_masks(facets, OrderKind.GALE)
@@ -482,21 +488,13 @@ def _ideal_and_interval_masks(n: int, k: int) -> list[int]:
     for t, row in enumerate(below):
         for i in _bits(row):
             above[i] |= 1 << t
-    supports: list[int] = []
-    seen: set[int] = set()
-    for mask in range(1, 1 << m):
-        if all(not below[t] & ~mask for t in _bits(mask)):
-            supports.append(mask)
-            seen.add(mask)
+    # an insertion-ordered set of masks
+    supports = dict.fromkeys(mask for mask in order_ideals(below) if mask)
     for i in range(m):
         for j in range(m):
-            if i != j and not below[j] >> i & 1:
-                continue
-            mask = (above[i] | 1 << i) & (below[j] | 1 << j)
-            if mask not in seen:
-                supports.append(mask)
-                seen.add(mask)
-    return supports
+            if i == j or below[j] >> i & 1:
+                supports[(above[i] | 1 << i) & (below[j] | 1 << j)] = None
+    return len(supports), list(supports)
 
 
 def _hasse_vs_dual_setup(n: int, k: int):
@@ -552,7 +550,7 @@ def _transposition_neighbors(y: KSubset) -> set[KSubset]:
 def _remark_setup(n: int, k: int):
     facets = list(all_ksubsets(n, k))
     exchange = {y: _transposition_neighbors(y) for y in facets}
-    below = _below_rows(facets, OrderKind.GALE)
+    below = strictly_below_masks(facets, OrderKind.GALE)
 
     def verdict(s: int, t: int) -> Optional[str]:
         a, b = facets[s], facets[t]
@@ -585,7 +583,8 @@ def remark_bruhat_graph(n: int, k: int, jobs: int = 1) -> RunReport:
     return _sweep_families("remark-bruhat-graph", n, k, jobs)
 
 
-# suite -> (its family masks, given n and k; its per-chunk set-up)
+# suite -> (its instance count and family masks, given n and k; its
+# per-chunk set-up)
 _FAMILY_SWEEPS = {
     "extensions-shell": (_ksubset_families, _extensions_shell_setup),
     "barycentric-coxeter": (_ksubset_families, _barycentric_coxeter_setup),

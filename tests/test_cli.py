@@ -352,24 +352,34 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "suite, n, k, size",
-        [
-            ("conf-ideals-flagshell", 6, 3, 120),
-            ("conf-ideals-flagshell", 5, 3, 60),
-            ("conf-ideals-flagshell", 6, 2, 30),
-        ],
+        [("conf-ideals-flagshell", 6, 3, 120), ("conf-ideals-flagshell", 5, 3, 60)],
     )
     def test_subset_sweep_universe_above_its_bound_rejected(
         self, suite, n, k, size, capsys
     ):
-        # 2^120 families would be split into chunks before any check
-        assert len(suites._flag_tuple_families(4, 3)) == 1 << suites.FAMILY_MAX_BITS
+        # the down-sets of these quotients are too many to check: (5, 3)
+        # alone has 28,315, against 297 at the bound
         assert main(["verify", suite, "--n", str(n), "--k", str(k)]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
             "error: subset sweeps are guarded at universes of at most "
-            f"{suites.FAMILY_MAX_BITS} elements, got {size} at n = {n}, k = {k}\n"
+            f"30 elements, got {size} at n = {n}, k = {k}\n"
         )
         assert captured.out == ""
+
+    def test_conf_ideals_at_the_universe_bound_runs(self, capsys):
+        # 30 flag tuples: 2^30 subsets counted, their 297 down-sets checked
+        assert main(["verify", "conf-ideals-flagshell", "--n", "6", "--k", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "instances: 1073741824" in out and "checks: 403210059451" in out
+
+    def test_conf_ideals_visit_down_sets_only(self, capsys):
+        # 2^24 subsets of the 24 flag tuples, 250 of them down-sets
+        started = time.perf_counter()
+        assert main(["verify", "conf-ideals-flagshell", "--n", "4", "--k", "3"]) == 0
+        assert time.perf_counter() - started < 10
+        out = capsys.readouterr().out
+        assert "instances: 16777216" in out and "checks: 11618602074" in out
 
     def test_subset_sweep_without_families_rejected(self, capsys):
         assert main(["verify", "hasse-vs-dual", "--n", "3", "--k", "5"]) == 2

@@ -10,7 +10,8 @@ exchange routine, pairwise ``leq`` scans for the dominance-row order
 kernels and the greatest-element scan, the scan of the whole ambient
 quotient for the local down-set test, and, for the per-family kernels of
 the subset sweeps, the extension walk for the DP over order ideals and
-the per-pair scan for the pair table.  Sequences are random k-subset and
+the per-pair scan for the pair table, and the closure test of every one
+of the 2^m masks for the down-set enumerator.  Sequences are random k-subset and
 flag-vertex sequences, most of them not shelling orders, plus grown
 shelling orders with and without a transposition that may break them.
 """
@@ -839,7 +840,7 @@ def reference_remark_setup(n, k):
     """The per-pair scan that the pair table replaced."""
     facets = list(all_ksubsets(n, k))
     exchange = {y: suites._transposition_neighbors(y) for y in facets}
-    below = bruhat._below_rows(facets, OrderKind.GALE)
+    below = strictly_below_masks(facets, OrderKind.GALE)
 
     def verdict(s, t):
         a, b = facets[s], facets[t]
@@ -926,3 +927,85 @@ def test_greatest_matches_pairwise_scan(keys):
 def test_exchange_verdicts_match_on_random_families(family):
     assert is_matroid(family) == reference_is_matroid(family)
     assert has_quasi_exchange(family) == reference_has_quasi_exchange(family)
+
+
+# --- the down-set enumerator against the 2^m closure scan -----------------
+
+
+def reference_order_ideals(below):
+    """The scan that ``order_ideals`` replaced: every mask in ascending
+    order, kept when it holds everything below each of its members."""
+    return [
+        mask
+        for mask in range(1 << len(below))
+        if all(not below[t] & ~mask for t in _bits(mask))
+    ]
+
+
+def reference_ideal_and_interval_masks(n, k):
+    """``suites._ideal_and_interval_masks`` with the closure scan."""
+    facets = list(all_ksubsets(n, k))
+    m = len(facets)
+    below = strictly_below_masks(facets, OrderKind.GALE)
+    above = [0] * m
+    for t, row in enumerate(below):
+        for i in _bits(row):
+            above[i] |= 1 << t
+    supports = [mask for mask in reference_order_ideals(below) if mask]
+    for i in range(m):
+        for j in range(m):
+            if i != j and not below[j] >> i & 1:
+                continue
+            mask = (above[i] | 1 << i) & (below[j] | 1 << j)
+            if mask not in supports:
+                supports.append(mask)
+    return supports
+
+
+# every Gale quotient with n <= 6 and at most 15 k-subsets
+GALE_QUOTIENTS = [
+    (n, k) for n in range(1, 7) for k in range(n + 1) if math.comb(n, k) <= 15
+]
+# every configuration quotient with at most 20 tuples
+CONF_QUOTIENTS = [
+    (n, k) for n in range(1, 7) for k in range(1, n + 1) if math.perm(n, k) <= 20
+]
+
+
+@pytest.mark.parametrize("n, k", GALE_QUOTIENTS)
+def test_order_ideals_match_closure_scan_on_gale_quotients(n, k):
+    below = strictly_below_masks(list(all_ksubsets(n, k)), OrderKind.GALE)
+    assert list(bruhat.order_ideals(below)) == reference_order_ideals(below)
+
+
+@pytest.mark.parametrize("n, k", CONF_QUOTIENTS)
+def test_order_ideals_match_closure_scan_on_conf_quotients(n, k):
+    below = strictly_below_masks(list(all_flag_tuples(n, k)), OrderKind.CONF)
+    assert list(bruhat.order_ideals(below)) == reference_order_ideals(below)
+
+
+@st.composite
+def ordered_dags(draw):
+    """Below-masks of a random DAG on up to 10 indices whose index order
+    is a linear extension; not closed transitively."""
+    h = draw(st.integers(0, 10))
+    return [
+        sum(1 << j for j in range(i) if draw(st.booleans())) for i in range(h)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordered_dags())
+def test_order_ideals_match_closure_scan_on_random_dags(below):
+    assert list(bruhat.order_ideals(below)) == reference_order_ideals(below)
+
+
+def test_order_ideals_need_a_linear_extension():
+    with pytest.raises(ValueError):
+        list(bruhat.order_ideals([0b10, 0]))
+
+
+@pytest.mark.parametrize("n, k", GALE_QUOTIENTS)
+def test_hasse_supports_match_closure_scan(n, k):
+    supports = reference_ideal_and_interval_masks(n, k)
+    assert suites._ideal_and_interval_masks(n, k) == (len(supports), supports)

@@ -135,12 +135,6 @@ class TestGraphOf:
             g = graph_of(seq(5, "12"), kind)
             assert g.order == 1 and not g.edges
 
-    def test_explicit_order_kind(self):
-        C = seq(6, "235", "234", "246")
-        assert graph_of(C, GraphKind.HASSE, OrderKind.GALE) == graph_of(
-            C, GraphKind.HASSE
-        )
-
     def test_hasse_rejects_flag_vertex_facets(self):
         facet = FlagVertexFacet(frozenset({KSubset(3, (1,)), KSubset(3, (1, 2))}))
         other = FlagVertexFacet(frozenset({KSubset(3, (2,)), KSubset(3, (1, 2))}))
