@@ -240,6 +240,10 @@ def _cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     kwargs = {"n": args.n, "k": args.k, "jobs": args.jobs}
     if args.suite in ("promotion-shell", "evacuation-shell", "eq2-oracle"):
+        if args.max_facets < 1:
+            raise ValueError(f"--max-facets must be at least 1, got {args.max_facets}")
+        if args.samples < 0:
+            raise ValueError(f"--samples must be at least 0, got {args.samples}")
         kwargs.update(
             max_facets=args.max_facets, samples=args.samples, seed=args.seed
         )

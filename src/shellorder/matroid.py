@@ -7,6 +7,7 @@ matroids.  Verdicts carry replayable counterexample witnesses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -131,10 +132,11 @@ def is_coxeter_matroid(elements: Iterable) -> bool:
         raise ValueError(f"full S_n sweep requires n <= 8, got n = {n}")
     kind = _order_of(elems[0])
     _check_operands(elems, kind)
-    key = _dominance_key(kind)
+    # an image recurs under many permutations: key each distinct one once
+    key = functools.cache(_dominance_key(kind))
     points = [tuple(x) for x in elems]
     for w in itertools.permutations(range(1, n + 1)):
-        if _greatest([key([w[v - 1] for v in pt]) for pt in points]) is None:
+        if _greatest([key(tuple([w[v - 1] for v in pt])) for pt in points]) is None:
             return False
     return True
 

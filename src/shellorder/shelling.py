@@ -170,13 +170,14 @@ def _walk_orders(
 
 
 def _tally_orders(
-    below: list[int], masks: list[int], k: int
+    below: list[int], masks: list[int], k: int, full: int
 ) -> tuple[int, int, Optional[list[int]]]:
     """``(checks, rejections, first rejected prefix or None)`` of the
-    orders of ``below`` with ``_append_ok`` on ``masks`` checked at every
-    append, without listing the orders: one check per full order and one
-    per rejected prefix (ending in the rejected candidate, whose branch
-    is pruned).
+    orders of the indices in the mask ``full`` (rows of a larger universe
+    are read on ``full`` only) with ``_append_ok`` on ``masks`` checked
+    at every append, without listing the orders: one check per full
+    order and one per rejected prefix (ending in the rejected candidate,
+    whose branch is pruned).
 
     The walk below a prefix depends only on its set U, an order ideal, so
     a DP over the ideals reached from the empty set gives every count:
@@ -188,10 +189,8 @@ def _tally_orders(
     visit order.  The stack is explicit; the work is one ``_append_ok`` per
     candidate of each ideal reached.
     """
-    h = len(below)
-    if not h:
-        return 0, 0, None
-    counts = {(1 << h) - 1: (1, 0)}  # ideal -> (checks, rejections) below it
+    members = list(_bits(full))
+    counts = {full: (1, 0)}  # ideal -> (checks, rejections) below it
     moves: dict[int, list[tuple[int, bool]]] = {}  # ideal -> (candidate, accepted)
     stack = [0]
     while stack:
@@ -201,10 +200,11 @@ def _tally_orders(
             continue
         if used not in moves:
             placed = [masks[t] for t in _bits(used)]
+            rest = full ^ used
             moves[used] = step = [
                 (t, _append_ok(placed, masks[t], k))
-                for t in range(h)
-                if not used >> t & 1 and not below[t] & ~used
+                for t in members
+                if rest >> t & 1 and not below[t] & rest
             ]
             todo = [used | 1 << t for t, ok in step if ok and used | 1 << t not in counts]
             if todo:

@@ -61,6 +61,13 @@ EXHAUSTIVE_MAX_N = 6
 # universe lies between 30 and 60 elements.
 FAMILY_MAX_BITS = 30
 SEEDED_MAX_FACETS = 10_000  # seeded corpora list all C(n, k) facets
+# An exhaustive corpus is bounded before it is listed, by the number of
+# ordered choices of at most max_facets distinct facets.  The largest
+# corpus inside the bound, (6, 2) at 5 facets (bound 396,075), has
+# 152,535 orders, built in 2.2 s and evacuated in 27 s at --jobs 1; the
+# next one, (5, 3) at 7 facets (bound 792,100), has 310,450 orders and
+# takes 5.1 s to build alone.  The default (5, 3) at 5 facets is 36,100.
+EXHAUSTIVE_MAX_ORDERS = 400_000
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,17 @@ def _guard_exhaustive(n: int) -> None:
         raise ValueError(f"exhaustive sweeps are guarded at n <= {EXHAUSTIVE_MAX_N}")
 
 
+def _guard_exhaustive_corpus(n: int, k: int, max_facets: int) -> None:
+    facets = math.comb(n, k)
+    orders = sum(math.perm(facets, s) for s in range(1, min(max_facets, facets) + 1))
+    if not 1 <= orders <= EXHAUSTIVE_MAX_ORDERS:
+        raise ValueError(
+            "exhaustive corpora need 1 <= sum over s <= max_facets of "
+            f"C(n, k)!/(C(n, k) - s)! <= {EXHAUSTIVE_MAX_ORDERS}, got {orders} "
+            f"at n = {n}, k = {k}, max_facets = {max_facets}"
+        )
+
+
 def _guard_seeded(n: int, k: int) -> None:
     facets = math.comb(n, k)  # a ValueError for negative n or k
     if not 1 <= facets <= SEEDED_MAX_FACETS:
@@ -96,13 +114,8 @@ def _guard_seeded(n: int, k: int) -> None:
 
 
 def _fmt_facet(f) -> str:
-    if isinstance(f, KSubset):
-        vals = f.members
-    else:
-        vals = f.entries
-    if f.n <= 9:
-        return "".join(str(v) for v in vals)
-    return " ".join(str(v) for v in vals)
+    vals = f.members if isinstance(f, KSubset) else f.entries
+    return ("" if f.n <= 9 else " ").join(map(str, vals))
 
 
 def _fmt_seq(items: Iterable) -> str:
@@ -114,8 +127,8 @@ def _fmt_set(items: Iterable) -> str:
 
 
 def _chunks(total: int) -> list[tuple[int, int]]:
-    pieces = min(64, total) or 1
-    step = -(-total // pieces)
+    """At most 64 contiguous (lo, hi) slices covering range(total)."""
+    step = -(-total // 64) or 1
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
@@ -148,61 +161,41 @@ def _sum_tallies(
     return checks, failures, first
 
 
-def _merge(suite: str, parts: list, started: float, instances: int) -> RunReport:
-    checks, failures, first = _sum_tallies(parts)
-    return RunReport(suite, instances, checks, failures, first, time.perf_counter() - started)
+def _chunk(args: tuple) -> tuple[int, int, Optional[str]]:
+    setup, shape, items = args
+    check = setup(*shape)
+    return _sum_tallies(map(check, items))
 
 
-def _extension_tally(
-    elems: list, kind: OrderKind, fmasks: list[int], k: int, describe
-) -> tuple[int, int, Optional[str]]:
-    """(checks, failures, first counterexample) over the linear extensions
-    of the sorted ``elems``, with the shelling condition on ``fmasks``
-    checked at every append: one check per extension and per rejected
-    prefix.
-
-    A failed append dooms every completion of that prefix, so the branch
-    is pruned and counts as one failed check; its counterexample is
-    ``describe`` of the formatted prefix.  The counts come from the DP
-    over order ideals, ``_tally_orders``, not from listing extensions."""
-    checks, failures, first = _tally_orders(strictly_below_masks(elems, kind), fmasks, k)
-    if first is None:
-        return checks, failures, None
-    return checks, failures, describe(_fmt_seq(elems[t] for t in first))
+def _sweep(suite: str, build, setup, shape: tuple, jobs: int) -> RunReport:
+    """Every suite's driver.  ``build(*shape)`` gives the instance count to
+    report and the items to check (a list or range), which are cut into
+    chunks.  Per chunk, in the worker, ``setup(*shape)`` gives the check
+    from an item to its (checks, failures, first counterexample).  Chunk
+    tallies are summed in visit order, so ``jobs`` changes no report."""
+    started = time.perf_counter()
+    instances, items = build(*shape)
+    if not instances:
+        # hasse-vs-dual over an empty universe; corpora have their own guard
+        n, k = shape[:2]
+        raise ValueError(f"{suite} has no families to sweep at n = {n}, k = {k}")
+    args = [(setup, shape, items[lo:hi]) for lo, hi in _chunks(len(items))]
+    checks, failures, first = _sum_tallies(_run_chunked(_chunk, args, jobs))
+    duration = time.perf_counter() - started
+    return RunReport(suite, instances, checks, failures, first, duration)
 
 
 # --- subset sweeps ----------------------------------------------------------
 #
-# A subset sweep visits families given as bitmasks over a universe of at
-# most ``FAMILY_MAX_BITS`` elements.  Its family builder returns the
-# number of instances it reports and the families it checks.  Its set-up
-# runs once per chunk, in the worker, and returns the per-family check: a
-# function from a nonempty family mask to its (checks, failures, first
-# counterexample).  ``_FAMILY_SWEEPS`` names each sweep's builder and
-# set-up.
-
-
-def _family_chunk(args: tuple) -> tuple[int, int, Optional[str]]:
-    suite, n, k, families = args
-    check = _FAMILY_SWEEPS[suite][1](n, k)
-    # the empty family has nothing to check
-    return _sum_tallies(check(m) for m in families if m)
-
-
-def _sweep_families(suite: str, n: int, k: int, jobs: int) -> RunReport:
-    _guard_exhaustive(n)
-    started = time.perf_counter()
-    instances, families = _FAMILY_SWEEPS[suite][0](n, k)
-    if not families:
-        raise ValueError(f"{suite} has no families to sweep at n = {n}, k = {k}")
-    args = [(suite, n, k, families[lo:hi]) for lo, hi in _chunks(len(families))]
-    parts = _run_chunked(_family_chunk, args, jobs)
-    return _merge(suite, parts, started, instances)
+# A subset sweep checks nonempty families, as bitmasks over a universe
+# of at most ``FAMILY_MAX_BITS`` elements in canonical order; its
+# instance count includes the empty family.
 
 
 def _ksubset_families(n: int, k: int) -> tuple[int, range]:
-    families = range(1 << sum(1 for _ in all_ksubsets(n, k)))
-    return len(families), families
+    _guard_exhaustive(n)
+    size = sum(1 for _ in all_ksubsets(n, k))
+    return 1 << size, range(1, 1 << size)
 
 
 # --- extensions-shell -------------------------------------------------------
@@ -210,6 +203,8 @@ def _ksubset_families(n: int, k: int) -> tuple[int, range]:
 
 def _extensions_shell_setup(n: int, k: int):
     facets = list(all_ksubsets(n, k))
+    below = strictly_below_masks(facets, OrderKind.GALE)
+    masks = [x.mask for x in facets]
 
     def check(mask: int) -> tuple[int, int, Optional[str]]:
         X = [facets[t] for t in _bits(mask)]
@@ -218,16 +213,11 @@ def _extensions_shell_setup(n: int, k: int):
             if is_matroid(X).holds or is_order_ideal(X, OrderKind.GALE):
                 return 1, 1, f"matroid/ideal without quasi-exchange: {_fmt_set(X)}"
             return 0, 0, None
-        elems = sorted(X, key=canonical_key)
-        return _extension_tally(
-            elems,
-            OrderKind.GALE,
-            [x.mask for x in elems],
-            k,
-            lambda prefix: (
-                f"X={_fmt_set(X)} extension prefix {prefix} is not a shelling prefix"
-            ),
-        )
+        checks, failures, first = _tally_orders(below, masks, k, mask)
+        if first is not None:
+            prefix = _fmt_seq(facets[t] for t in first)
+            first = f"X={_fmt_set(X)} extension prefix {prefix} is not a shelling prefix"
+        return checks, failures, first
 
     return check
 
@@ -235,7 +225,9 @@ def _extensions_shell_setup(n: int, k: int):
 def extensions_shell(n: int, k: int, jobs: int = 1) -> RunReport:
     """Every subset with the quasi-exchange property: each of its linear
     extensions must be a shelling order."""
-    return _sweep_families("extensions-shell", n, k, jobs)
+    return _sweep(
+        "extensions-shell", _ksubset_families, _extensions_shell_setup, (n, k), jobs
+    )
 
 
 # --- barycentric-coxeter ----------------------------------------------------
@@ -258,7 +250,9 @@ def _barycentric_coxeter_setup(n: int, k: int):
 def barycentric_coxeter(n: int, k: int, jobs: int = 1) -> RunReport:
     """Exchange property of X must coincide with the maximality property
     of its barycentric subdivision, for every subset."""
-    return _sweep_families("barycentric-coxeter", n, k, jobs)
+    return _sweep(
+        "barycentric-coxeter", _ksubset_families, _barycentric_coxeter_setup, (n, k), jobs
+    )
 
 
 # --- conf-ideals-flagshell --------------------------------------------------
@@ -266,8 +260,9 @@ def barycentric_coxeter(n: int, k: int, jobs: int = 1) -> RunReport:
 
 def _flag_tuple_families(n: int, k: int) -> tuple[int, list[int]]:
     # all 2^m subsets of the m tuples are instances, but only the
-    # down-sets have anything to check.  n <= 6 keeps every k-subset
-    # universe at most C(6, 3) = 20 elements, but not this one
+    # nonempty down-sets have anything to check.  n <= 6 keeps every
+    # k-subset universe at most C(6, 3) = 20 elements, but not this one
+    _guard_exhaustive(n)
     elems = list(all_flag_tuples(n, k))
     m = len(elems)
     if m > FAMILY_MAX_BITS:
@@ -275,24 +270,23 @@ def _flag_tuple_families(n: int, k: int) -> tuple[int, list[int]]:
             f"subset sweeps are guarded at universes of at most {FAMILY_MAX_BITS} "
             f"elements, got {m} at n = {n}, k = {k}"
         )
-    return 1 << m, list(order_ideals(strictly_below_masks(elems, OrderKind.CONF)))
+    ideals = order_ideals(strictly_below_masks(elems, OrderKind.CONF))
+    return 1 << m, [mask for mask in ideals if mask]
 
 
 def _conf_ideals_setup(n: int, k: int):
-    elems_all = list(all_flag_tuples(n, k))
+    elems = list(all_flag_tuples(n, k))
+    below = strictly_below_masks(elems, OrderKind.CONF)
+    # one vertex numbering for every flag facet of the universe
+    masks, size = facet_masks(tuple(flag_facet(y) for y in elems))
 
     def check(mask: int) -> tuple[int, int, Optional[str]]:
-        elems = sorted((elems_all[t] for t in _bits(mask)), key=canonical_key)
-        fmasks, size = facet_masks(tuple(flag_facet(y) for y in elems))
-        return _extension_tally(
-            elems,
-            OrderKind.CONF,
-            fmasks,
-            size,
-            lambda prefix: (
-                f"Y={_fmt_set(elems)} extension prefix {prefix} is not a flag shelling prefix"
-            ),
-        )
+        checks, failures, first = _tally_orders(below, masks, size, mask)
+        if first is not None:
+            Y = _fmt_set(elems[t] for t in _bits(mask))
+            prefix = _fmt_seq(elems[t] for t in first)
+            first = f"Y={Y} extension prefix {prefix} is not a flag shelling prefix"
+        return checks, failures, first
 
     return check
 
@@ -300,7 +294,9 @@ def _conf_ideals_setup(n: int, k: int):
 def conf_ideals_flagshell(n: int, k: int, jobs: int = 1) -> RunReport:
     """Every order ideal of the configuration quotient: each of its linear
     extensions must be a flag shelling order."""
-    return _sweep_families("conf-ideals-flagshell", n, k, jobs)
+    return _sweep(
+        "conf-ideals-flagshell", _flag_tuple_families, _conf_ideals_setup, (n, k), jobs
+    )
 
 
 # --- shelling-order corpus (promotion / evacuation / eq2 / swap) ------------
@@ -400,16 +396,32 @@ CORPUS_CHECKS = {
 }
 
 
-def _check_corpus(
-    corpus: Iterable[FacetSequence], check_names: tuple[str, ...]
-) -> tuple[int, int, Optional[str]]:
+def _corpus(
+    n: int, k: int, max_facets: int, samples: int, seed: int
+) -> tuple[FacetSequence, ...]:
+    """The seeded corpus when ``samples`` is positive, else the exhaustive
+    one, both guarded."""
+    if samples > 0:
+        return random_corpus(n, k, samples, seed, max_facets)
+    _guard_exhaustive(n)
+    _guard_exhaustive_corpus(n, k, max_facets)
+    return exhaustive_corpus(n, k, max_facets)
+
+
+def _corpus_indices(n, k, max_facets, samples, seed, check_names) -> tuple[int, range]:
+    size = len(_corpus(n, k, max_facets, samples, seed))
+    return size, range(size)
+
+
+def _corpus_setup(n, k, max_facets, samples, seed, check_names):
+    corpus = _corpus(n, k, max_facets, samples, seed)
     fns = [CORPUS_CHECKS[name] for name in check_names]
-    return _tally(fn(seq) for seq in corpus for fn in fns)
 
+    def check(i: int) -> tuple[int, int, Optional[str]]:
+        seq = corpus[i]
+        return _tally(fn(seq) for fn in fns)
 
-def _corpus_chunk(args: tuple) -> tuple[int, int, Optional[str]]:
-    n, k, max_facets, lo, hi, check_names = args
-    return _check_corpus(exhaustive_corpus(n, k, max_facets)[lo:hi], check_names)
+    return check
 
 
 def sweep_shelling_corpus(
@@ -425,19 +437,10 @@ def sweep_shelling_corpus(
     """Run the named checks over every shelling order in the corpus.
 
     ``samples == 0`` sweeps the exhaustive corpus; a positive value runs
-    the seeded random corpus instead (sequentially: the sampler state is
-    inherently ordered)."""
-    started = time.perf_counter()
-    if samples > 0:
-        corpus = random_corpus(n, k, samples, seed, max_facets)
-        return _merge(suite, [_check_corpus(corpus, check_names)], started, len(corpus))
-    _guard_exhaustive(n)
-    corpus_len = len(exhaustive_corpus(n, k, max_facets))
-    args = [
-        (n, k, max_facets, lo, hi, check_names) for lo, hi in _chunks(corpus_len)
-    ]
-    parts = _run_chunked(_corpus_chunk, args, jobs)
-    return _merge(suite, parts, started, corpus_len)
+    the seeded random corpus instead.  Either way the chunks check corpus
+    indices, and each worker builds (or inherits) the same corpus."""
+    shape = (n, k, max_facets, samples, seed, check_names)
+    return _sweep(suite, _corpus_indices, _corpus_setup, shape, jobs)
 
 
 def promotion_shell(
@@ -455,14 +458,8 @@ def evacuation_shell(
     """Evacuation of every shelling order must be a shelling order, and
     applying it twice must give the order back."""
     return sweep_shelling_corpus(
-        "evacuation-shell",
-        ("evacuation", "involution"),
-        n,
-        k,
-        max_facets,
-        samples,
-        seed,
-        jobs,
+        "evacuation-shell", ("evacuation", "involution"),
+        n, k, max_facets, samples, seed, jobs,
     )
 
 
@@ -481,6 +478,7 @@ def eq2_oracle(
 def _ideal_and_interval_masks(n: int, k: int) -> tuple[int, list[int]]:
     """Every nonempty down-set of the k-subset quotient, in ascending
     order, then every interval that is not one of them."""
+    _guard_exhaustive(n)
     facets = list(all_ksubsets(n, k))
     m = len(facets)
     below = strictly_below_masks(facets, OrderKind.GALE)
@@ -501,7 +499,7 @@ def _hasse_vs_dual_setup(n: int, k: int):
     facets = list(all_ksubsets(n, k))
 
     def check(mask: int) -> tuple[int, int, Optional[str]]:
-        elems = sorted((facets[t] for t in _bits(mask)), key=canonical_key)
+        elems = [facets[t] for t in _bits(mask)]  # canonical order already
         cover_pairs = induced_covers(set(elems), OrderKind.GALE)
         dual_ok = all(
             (a.mask & b.mask).bit_count() == k - 1 for a, b in cover_pairs
@@ -525,7 +523,9 @@ def hasse_vs_dual(n: int, k: int, jobs: int = 1) -> RunReport:
     """On every order ideal and every interval, the induced Hasse graph of
     a linear extension must be a subgraph of its dual graph and the two
     promotions must agree."""
-    return _sweep_families("hasse-vs-dual", n, k, jobs)
+    return _sweep(
+        "hasse-vs-dual", _ideal_and_interval_masks, _hasse_vs_dual_setup, (n, k), jobs
+    )
 
 
 # --- remark-bruhat-graph ----------------------------------------------------
@@ -580,18 +580,9 @@ def _remark_setup(n: int, k: int):
 def remark_bruhat_graph(n: int, k: int, jobs: int = 1) -> RunReport:
     """Dual-graph edges must be exactly the single-exchange (reflection)
     pairs, and every edge must join comparable facets."""
-    return _sweep_families("remark-bruhat-graph", n, k, jobs)
-
-
-# suite -> (its instance count and family masks, given n and k; its
-# per-chunk set-up)
-_FAMILY_SWEEPS = {
-    "extensions-shell": (_ksubset_families, _extensions_shell_setup),
-    "barycentric-coxeter": (_ksubset_families, _barycentric_coxeter_setup),
-    "conf-ideals-flagshell": (_flag_tuple_families, _conf_ideals_setup),
-    "hasse-vs-dual": (_ideal_and_interval_masks, _hasse_vs_dual_setup),
-    "remark-bruhat-graph": (_ksubset_families, _remark_setup),
-}
+    return _sweep(
+        "remark-bruhat-graph", _ksubset_families, _remark_setup, (n, k), jobs
+    )
 
 
 SUITES = {

@@ -389,16 +389,66 @@ class TestVerifyCommand:
         )
         assert captured.out == ""
 
-    def test_parallel_workers_match_sequential(self, capsys):
-        assert main(["verify", "remark-bruhat-graph", "--n", "4", "--k", "2"]) == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["remark-bruhat-graph", "--n", "4", "--k", "2"],
+            # a seeded corpus goes through the pool as well
+            ["evacuation-shell", "--n", "5", "--k", "3", "--samples", "300", "--seed", "3"],
+        ],
+    )
+    def test_parallel_workers_match_sequential(self, argv, capsys):
+        assert main(["verify", *argv]) == 0
         sequential = capsys.readouterr().out
-        assert (
-            main(
-                ["verify", "remark-bruhat-graph", "--n", "4", "--k", "2", "--jobs", "2"]
-            )
-            == 0
-        )
+        assert main(["verify", *argv, "--jobs", "2"]) == 0
         assert capsys.readouterr().out == sequential
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-facets", "0"], "--max-facets must be at least 1, got 0"),
+            (["--samples", "5", "--max-facets", "0"], "--max-facets must be at least 1, got 0"),
+            (["--samples", "-1"], "--samples must be at least 0, got -1"),
+        ],
+    )
+    def test_bad_corpus_options_rejected(self, flags, message, capsys):
+        for suite in ("promotion-shell", "evacuation-shell", "eq2-oracle"):
+            assert main(["verify", suite, "--n", "4", "--k", "2", *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n"
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "n, k, max_facets, orders",
+        [
+            (6, 3, 20, 6613313319248080000),
+            (5, 3, 10, 9864100),
+            (5, 3, 7, 792100),  # the smallest measured shape outside the bound
+            (3, 5, 5, 0),
+        ],
+    )
+    def test_exhaustive_corpus_outside_its_bound_rejected(
+        self, n, k, max_facets, orders, capsys
+    ):
+        # the bound is computed, not listed: (6, 3) at 20 facets would
+        # never end, and an empty universe has no order to check
+        argv = ["verify", "promotion-shell", "--n", str(n), "--k", str(k)]
+        started = time.perf_counter()
+        assert main(argv + ["--max-facets", str(max_facets)]) == 2
+        assert time.perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: exhaustive corpora need 1 <= sum over s <= max_facets of "
+            f"C(n, k)!/(C(n, k) - s)! <= 400000, got {orders} "
+            f"at n = {n}, k = {k}, max_facets = {max_facets}\n"
+        )
+        assert captured.out == ""
+
+    def test_exhaustive_corpus_bound_admits_the_largest_measured_shape(self):
+        # (6, 2) at 5 facets (bound 396,075) builds in about 2 s; running
+        # it here would take half a minute, so only the guard is asked
+        suites._guard_exhaustive_corpus(6, 2, 5)
+        suites._guard_exhaustive_corpus(5, 3, 6)
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, jobs, capsys):

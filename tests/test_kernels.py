@@ -10,8 +10,9 @@ exchange routine, pairwise ``leq`` scans for the dominance-row order
 kernels and the greatest-element scan, the scan of the whole ambient
 quotient for the local down-set test, and, for the per-family kernels of
 the subset sweeps, the extension walk for the DP over order ideals and
-the per-pair scan for the pair table, and the closure test of every one
-of the 2^m masks for the down-set enumerator.  Sequences are random k-subset and
+the per-pair scan for the pair table, the closure test of every one
+of the 2^m masks for the down-set enumerator, and pairwise ``leq`` on
+every shifted image for the Coxeter maximality sweep.  Sequences are random k-subset and
 flag-vertex sequences, most of them not shelling orders, plus grown
 shelling orders with and without a transposition that may break them.
 """
@@ -43,6 +44,7 @@ from shellorder import (
     has_quasi_exchange,
     induced_covers,
     is_linear_extension,
+    is_coxeter_matroid,
     is_matroid,
     is_order_ideal,
     is_shelling_order,
@@ -59,7 +61,7 @@ from shellorder.core import _bits, canonical_key
 from shellorder.matroid import ExchangeWitness, MatroidVerdict
 from shellorder.shelling import _append_ok, _tally_orders, _walk_orders, facet_masks
 from shellorder.subdivision import flag_facet
-from shellorder.suites import _extension_tally, _fmt_seq, _tally
+from shellorder.suites import _fmt_seq, _tally
 
 
 def reference_is_shelling_order(seq):
@@ -410,18 +412,11 @@ def test_linear_extensions_and_shelling_tallies_match_recursion(case):
         fmasks, k = facet_masks(tuple(elems))
     else:
         fmasks, k = facet_masks(tuple(flag_facet(y) for y in elems))
-
-    def describe(prefix):
-        return f"extension prefix {prefix} is not a shelling prefix"
-
-    assert _extension_tally(
-        elems, kind, fmasks, k, describe
-    ) == reference_walk_extensions_checking(
-        strictly_below_masks(elems, kind),
-        fmasks,
-        k,
-        lambda idx: describe(_fmt_seq(elems[t] for t in idx)),
-    )
+    below = strictly_below_masks(elems, kind)
+    checks, failures, first = _tally_orders(below, fmasks, k, (1 << len(elems)) - 1)
+    assert (
+        checks, failures, None if first is None else tuple(first)
+    ) == reference_walk_extensions_checking(below, fmasks, k, tuple)
 
 
 @settings(max_examples=300, deadline=None)
@@ -608,6 +603,40 @@ def test_order_kernels_match_pairwise_leq(case):
     assert unique_maximum(elems, kind) == reference_unique_maximum(elems, kind)
 
 
+def reference_is_coxeter_matroid(elements):
+    """Every w-shifted image has a greatest element, by pairwise ``leq``
+    on each image, one permutation at a time."""
+    elems = list(elements)
+    n = elems[0].n
+    for w in itertools.permutations(range(1, n + 1)):
+        if isinstance(elems[0], KSubset):
+            kind = OrderKind.GALE
+            image = {KSubset(n, tuple(sorted(w[v - 1] for v in x.members))) for x in elems}
+        else:
+            kind = OrderKind.CONF
+            image = {FlagTuple(n, tuple(w[v - 1] for v in y.entries)) for y in elems}
+        if reference_unique_maximum(image, kind) is None:
+            return False
+    return True
+
+
+@st.composite
+def coxeter_families(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        universe = [KSubset(n, c) for c in itertools.combinations(range(1, n + 1), k)]
+    else:
+        universe = [FlagTuple(n, e) for e in itertools.permutations(range(1, n + 1), k)]
+    return draw(st.lists(st.sampled_from(universe), min_size=1, max_size=8, unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coxeter_families())
+def test_coxeter_maximality_matches_per_permutation_scan(family):
+    assert is_coxeter_matroid(family) == reference_is_coxeter_matroid(family)
+
+
 def _quotient_ideal_cases(kind, n, k, rng):
     """Sets over one CONF/PERM quotient: the down-set of every single top
     and of seeded pairs and triples of tops, each whole and without one
@@ -769,19 +798,35 @@ def test_first_extension_of_1035_facets_needs_no_pairwise_leq(monkeypatch):
 @given(walks())
 def test_ideal_dp_matches_recursion(walk):
     below, masks, k = walk
-    checks, failures, first = _tally_orders(below, masks, k)
+    checks, failures, first = _tally_orders(below, masks, k, (1 << len(below)) - 1)
     assert (
         checks, failures, None if first is None else tuple(first)
     ) == reference_walk_extensions_checking(below, masks, k, tuple)
 
 
-def recursive_extension_tally(elems, kind, fmasks, k, describe):
-    """The extension walk that the ideal DP replaced, as a recursion."""
+def recursive_tally_orders(below, masks, k, full):
+    """The extension walk that the ideal DP replaced, as a recursion over
+    the indices of ``full`` renumbered from 0; the first rejected prefix
+    is mapped back to universe indices."""
+    members = list(_bits(full))
+    local = {t: i for i, t in enumerate(members)}
     return reference_walk_extensions_checking(
-        strictly_below_masks(elems, kind),
-        fmasks,
+        [sum(1 << local[s] for s in _bits(below[t] & full)) for t in members],
+        [masks[t] for t in members],
         k,
-        lambda idx: describe(_fmt_seq(elems[t] for t in idx)),
+        lambda idx: [members[i] for i in idx],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks(), st.data())
+def test_ideal_dp_on_a_subfamily_matches_the_renumbered_recursion(walk, data):
+    # the sweeps pass universe rows and one family mask; only the
+    # family's indices and the rows restricted to it may count
+    below, masks, k = walk
+    full = data.draw(st.integers(1, (1 << len(below)) - 1))
+    assert _tally_orders(below, masks, k, full) == recursive_tally_orders(
+        below, masks, k, full
     )
 
 
@@ -821,7 +866,7 @@ def test_extension_sweeps_match_the_recursion_with_rejecting_appends(
 
     monkeypatch.setattr(shelling, "_append_ok", rejecting)
     got = _report(sweep(n, k, jobs=jobs))
-    monkeypatch.setattr(suites, "_extension_tally", recursive_extension_tally)
+    monkeypatch.setattr(suites, "_tally_orders", recursive_tally_orders)
     want = _report(sweep(n, k, jobs=jobs))
     assert got == want
     assert got[2] > 0
@@ -832,7 +877,7 @@ def test_extension_sweeps_match_the_recursion_with_rejecting_appends(
 )
 def test_extension_sweeps_match_the_recursion(monkeypatch, sweep, n, k):
     got = _report(sweep(n, k))
-    monkeypatch.setattr(suites, "_extension_tally", recursive_extension_tally)
+    monkeypatch.setattr(suites, "_tally_orders", recursive_tally_orders)
     assert got == _report(sweep(n, k))
 
 
@@ -877,11 +922,7 @@ def test_pair_table_matches_per_pair_scan(monkeypatch, n, k, drop, jobs):
     for mask in range(1, 1 << min(math.comb(n, k), 10)):
         assert table(mask) == scan(mask)
     got = _report(suites.remark_bruhat_graph(n, k, jobs=jobs))
-    monkeypatch.setitem(
-        suites._FAMILY_SWEEPS,
-        "remark-bruhat-graph",
-        (suites._ksubset_families, reference_remark_setup),
-    )
+    monkeypatch.setattr(suites, "_remark_setup", reference_remark_setup)
     want = _report(suites.remark_bruhat_graph(n, k, jobs=jobs))
     assert got == want
     assert got[2] > 0
