@@ -246,24 +246,33 @@ class FacetSequence:
 class LabeledGraph:
     """A simple undirected graph on the vertex set {1, ..., order}.
 
-    ``rows[v]`` has bit u set iff u and v are adjacent (``rows[0]`` is 0);
-    it is derived from ``edges`` and takes no part in equality."""
+    ``edges`` may be any iterable of pairs in either orientation; it is
+    stored as a frozenset of (low, high) pairs.  ``rows[v]`` has bit u
+    set iff u and v are adjacent (``rows[0]`` is 0); it is derived from
+    ``edges`` and takes no part in equality."""
 
     order: int
     edges: frozenset[tuple[int, int]]
     rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"graph order must be positive, got {self.order}")
-        norm = set()
-        rows = [0] * (self.order + 1)
-        for a, b in self.edges:
-            if a == b:
+        order = self.order
+        if order < 1:
+            raise ValueError(f"graph order must be positive, got {order}")
+        norm: list[tuple[int, int]] = []
+        add = norm.append
+        rows = [0] * (order + 1)
+        for e in self.edges:
+            a, b = e
+            if 0 < a < b <= order:
+                # keep the caller's tuple; a list pair is not hashable
+                add(e if type(e) is tuple else (a, b))
+            elif 0 < b < a <= order:
+                add((b, a))
+            elif a == b:
                 raise ValueError(f"loop at vertex {a}")
-            if not (1 <= a <= self.order and 1 <= b <= self.order):
-                raise ValueError(f"edge ({a}, {b}) leaves [{self.order}]")
-            norm.add((a, b) if a < b else (b, a))
+            else:
+                raise ValueError(f"edge ({a}, {b}) leaves [{order}]")
             rows[a] |= 1 << b
             rows[b] |= 1 << a
         object.__setattr__(self, "edges", frozenset(norm))

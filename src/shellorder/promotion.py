@@ -57,14 +57,10 @@ def apply_positions(sigma: PositionPermutation, seq: FacetSequence) -> FacetSequ
         raise ValueError(f"permutation length {len(sigma)} != sequence length {h}")
     if sorted(sigma) != list(range(1, h + 1)):
         raise ValueError(f"{sigma} is not a bijection of [{h}]")
-    return FacetSequence(_rearranged(sigma, seq.items))
-
-
-def _rearranged(sigma: PositionPermutation, items: tuple) -> tuple:
-    out: list = [None] * len(items)
-    for i, item in enumerate(items):
+    out: list = [None] * h
+    for i, item in enumerate(seq.items):
         out[sigma[i] - 1] = item
-    return tuple(out)
+    return FacetSequence(tuple(out))
 
 
 def graph_of(seq: FacetSequence, kind: GraphKind) -> LabeledGraph:
@@ -82,8 +78,16 @@ def graph_of(seq: FacetSequence, kind: GraphKind) -> LabeledGraph:
 
 
 def promote(seq: FacetSequence, kind: GraphKind = GraphKind.DUAL) -> FacetSequence:
-    sigma = promotion_permutation(graph_of(seq, kind))
-    return FacetSequence._trusted(_rearranged(sigma, seq.items))
+    """Apply ``promotion_permutation`` of the graph, read off the track: the
+    items after the first shift down one place, each track item lands just
+    below its successor (index b - 2 for successor b), the last at the end."""
+    path = track(graph_of(seq, kind))
+    items = seq.items
+    out = list(items[1:])
+    out.append(items[path[-1] - 1])
+    for a, b in zip(path, path[1:]):
+        out[b - 2] = items[a - 1]
+    return FacetSequence._trusted(tuple(out))
 
 
 def elementary_move(

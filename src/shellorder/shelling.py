@@ -254,16 +254,48 @@ def find_shelling_order(complex_: PureComplex) -> Optional[FacetSequence]:
 
 
 def dual_graph(seq: FacetSequence) -> LabeledGraph:
-    """Positions i, j are adjacent iff the facets share all but one vertex."""
+    """Positions i, j are adjacent iff the facets share all but one vertex.
+
+    Ridge-incidence form: two distinct k-facets are adjacent iff they
+    contain a common (k - 1)-ridge, and then that ridge is their
+    intersection, so they share at most one.  Each facet is filed under
+    its k ridges (its mask minus one vertex bit); a facet filed under a
+    ridge is adjacent to every earlier facet filed there, and each
+    adjacent pair meets in exactly one ridge, so it is emitted once.
+    O(h·k + E) for h facets and E edges, where the pair scan is O(h^2).
+    With k = 1 every facet is filed under the empty ridge (all pairs
+    adjacent); with k = 0 the one facet has no ridge.
+
+    Up to 5k facets the pair scan runs instead: its h(h - 1)/2 popcounts
+    cost less there than the table's h·k dictionary steps.
+    """
     masks, k = facet_masks(seq.items)
     h = len(masks)
-    edges = {
-        (i + 1, j + 1)
-        for i in range(h)
-        for j in range(i + 1, h)
-        if (masks[i] & masks[j]).bit_count() == k - 1
-    }
-    return LabeledGraph(h, frozenset(edges))
+    if h <= 5 * k:
+        pairs = [
+            (i + 1, j + 1)
+            for i in range(h)
+            for j in range(i + 1, h)
+            if (masks[i] & masks[j]).bit_count() == k - 1
+        ]
+        return LabeledGraph(h, pairs)
+    holders: dict[int, list[int]] = {}  # ridge mask -> positions filed there
+    edges: list[tuple[int, int]] = []
+    add = edges.append
+    for j, mask in enumerate(masks, 1):
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            ridge = mask ^ bit
+            earlier = holders.get(ridge)
+            if earlier is None:
+                holders[ridge] = [j]
+            else:
+                for i in earlier:
+                    add((i, j))
+                earlier.append(j)
+    return LabeledGraph(h, edges)
 
 
 def relabel(sigma: FlagTuple, seq: FacetSequence) -> FacetSequence:

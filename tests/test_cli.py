@@ -16,7 +16,7 @@ from shellorder import cli, suites
 from shellorder.cli import export_dot, main, parse_input, serialize
 from shellorder.promotion import GraphKind
 
-from conftest import make_ksubset as ks
+from conftest import grow_shelling_order, make_ksubset as ks
 
 BJORNER_TEXT = "n=6 mode=sorted\n" + "\n".join(
     " ".join(d) for d in "123 125 126 234 235 134 136 145 246 356 456".split()
@@ -247,6 +247,16 @@ class TestCommands:
         assert parse_input(capsys.readouterr().out, as_sequence=True) == parse_input(
             BJORNER_TEXT, as_sequence=True
         )
+
+    def test_evacuate_twice_returns_a_long_order_byte_for_byte(self, tmp_path, capsys):
+        text = serialize(grow_shelling_order(1, 12, 4, 160))
+        path = write(tmp_path, "long.txt", text)
+        assert main(["evacuate", "--graph", "dual", path]) == 0
+        once = capsys.readouterr().out
+        assert once != text
+        again = write(tmp_path, "long2.txt", once)
+        assert main(["evacuate", "--graph", "dual", again]) == 0
+        assert capsys.readouterr().out == text
 
     def test_isomorphic(self, tmp_path):
         a = write(tmp_path, "a.txt", "n=5 mode=sorted\n1 2 3\n1 2 4\n1 2 5\n")

@@ -120,6 +120,38 @@ class TestLabeledGraph:
         with pytest.raises(ValueError):
             LabeledGraph(3, frozenset({(1, 4)}))
 
+    def test_loop_message(self):
+        with pytest.raises(ValueError, match=r"^loop at vertex 2$"):
+            LabeledGraph(3, frozenset({(2, 2)}))
+        # a loop is reported as a loop even outside the vertex range
+        with pytest.raises(ValueError, match=r"^loop at vertex 5$"):
+            LabeledGraph(3, [(5, 5)])
+
+    @pytest.mark.parametrize("edge", [(4, 1), (1, 4), (0, 2), (2, 0), (-1, 3)])
+    def test_out_of_range_message_keeps_the_given_orientation(self, edge):
+        a, b = edge
+        with pytest.raises(ValueError, match=rf"^edge \({a}, {b}\) leaves \[3\]$"):
+            LabeledGraph(3, frozenset({edge}))
+
+    def test_both_orientations_collapse_to_one_edge(self):
+        g = LabeledGraph(3, frozenset({(1, 2), (2, 1)}))
+        assert g.edges == frozenset({(1, 2)})
+        assert g.rows == (0, 0b100, 0b010, 0)
+
+    def test_list_and_set_inputs(self):
+        want = LabeledGraph(4, frozenset({(1, 2), (3, 4)}))
+        for edges in ([(2, 1), (3, 4)], {(1, 2), (4, 3)}, [[1, 2], [4, 3]], ()):
+            g = LabeledGraph(4, edges)
+            assert isinstance(g.edges, frozenset)
+            if edges:
+                assert g == want and g.rows == want.rows
+            else:
+                assert g.edges == frozenset() and g.rows == (0,) * 5
+
+    def test_rows(self):
+        g = LabeledGraph(5, [(1, 3), (5, 3), (2, 4)])
+        assert g.rows == (0, 1 << 3, 1 << 4, 1 << 1 | 1 << 5, 1 << 2, 1 << 3)
+
     def test_neighbors(self):
         g = LabeledGraph(4, frozenset({(1, 2), (2, 4), (2, 3)}))
         assert g.neighbors(2) == (1, 3, 4)

@@ -3,18 +3,21 @@ Bruhat-order kernels against reference copies.
 
 The references are the straightforward forms the kernels replaced: the
 pair-by-pair ridge scan for ``is_shelling_order``, the ridge-list test
-for ``_append_ok``, edge-set scans for ``LabeledGraph`` lookups and
-``track``, one recursion per enumerator for the iterative order walker,
-separate basis-exchange and quasi-exchange scans for the shared
+for ``_append_ok``, the pair scan for the ridge-incidence ``dual_graph``
+(and promotion through the pair-scan graph for ``promote``, ``evacuate``
+and ``promote_via_moves``), edge-set scans for ``LabeledGraph`` lookups
+and ``track``, one recursion per enumerator for the iterative order
+walker, separate basis-exchange and quasi-exchange scans for the shared
 exchange routine, pairwise ``leq`` scans for the dominance-row order
 kernels and the greatest-element scan, the scan of the whole ambient
 quotient for the local down-set test, and, for the per-family kernels of
 the subset sweeps, the extension walk for the DP over order ideals and
-the per-pair scan for the pair table, the closure test of every one
-of the 2^m masks for the down-set enumerator, and pairwise ``leq`` on
-every shifted image for the Coxeter maximality sweep.  Sequences are random k-subset and
-flag-vertex sequences, most of them not shelling orders, plus grown
-shelling orders with and without a transposition that may break them.
+the per-pair scan for the pair table, the closure test of every one of
+the 2^m masks for the down-set enumerator, and pairwise ``leq`` on every
+shifted image for the Coxeter maximality sweep. Sequences are random
+k-subset and flag-vertex sequences, most of them not shelling orders,
+plus grown shelling orders with and without a transposition that may
+break them.
 """
 
 import functools
@@ -23,6 +26,7 @@ import math
 import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,10 +34,13 @@ from hypothesis import given, settings, strategies as st
 from shellorder import (
     FacetSequence,
     FlagTuple,
+    GraphKind,
     KSubset,
     LabeledGraph,
     OrderKind,
     PureComplex,
+    apply_positions,
+    dual_graph,
     elementary_move,
     evacuate,
     find_shelling_order,
@@ -50,18 +57,22 @@ from shellorder import (
     is_shelling_order,
     linear_extensions,
     promote,
+    promote_via_moves,
+    promotion_permutation,
     r_promote,
     shelling_orders,
     track,
     unique_maximum,
 )
-from shellorder import bruhat, shelling, suites
+from shellorder import bruhat, promotion, shelling, suites
 from shellorder.bruhat import leq, strictly_below_masks
 from shellorder.core import _bits, canonical_key
 from shellorder.matroid import ExchangeWitness, MatroidVerdict
 from shellorder.shelling import _append_ok, _tally_orders, _walk_orders, facet_masks
 from shellorder.subdivision import flag_facet
 from shellorder.suites import _fmt_seq, _tally
+
+from conftest import grow_shelling_order
 
 
 def reference_is_shelling_order(seq):
@@ -148,13 +159,13 @@ def grown_sequences(draw):
 
 
 @st.composite
-def flag_sequences(draw):
+def flag_sequences(draw, max_size=10):
     """Distinct flag-vertex facets (chains of prefix sets of k-tuples)."""
     n = draw(st.integers(2, 5))
     k = draw(st.integers(1, n))
     universe = list(itertools.permutations(range(1, n + 1), k))
     entries = draw(
-        st.lists(st.sampled_from(universe), min_size=1, max_size=10, unique=True)
+        st.lists(st.sampled_from(universe), min_size=1, max_size=max_size, unique=True)
     )
     return FacetSequence(tuple(flag_facet(FlagTuple(n, e)) for e in entries))
 
@@ -217,6 +228,107 @@ def test_graph_lookups_match_edge_scan(graph):
         for b in span:
             assert graph.has_edge(a, b) is ((min(a, b), max(a, b)) in edges)
     assert track(graph) == reference_track(edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_promote_matches_the_position_permutation(graph):
+    seq = FacetSequence(tuple(KSubset(graph.order, (v,)) for v in range(1, graph.order + 1)))
+    with mock.patch.object(promotion, "graph_of", lambda s, kind: graph):
+        got = promote(seq)
+    assert got == apply_positions(promotion_permutation(graph), seq)
+
+
+@pytest.mark.parametrize("kind", list(GraphKind))
+def test_promote_matches_the_position_permutation_on_bjorner(bjorner, kind):
+    sigma = promotion_permutation(promotion.graph_of(bjorner, kind))
+    assert promote(bjorner, kind) == apply_positions(sigma, bjorner)
+
+
+# --- the ridge-incidence dual graph against the pair scan ------------------
+
+
+def reference_dual_graph(seq):
+    """(edges, rows) by testing every pair of positions for k - 1 shared
+    vertices."""
+    masks, k = facet_masks(seq.items)
+    h = len(masks)
+    edges = frozenset(
+        (i + 1, j + 1)
+        for i in range(h)
+        for j in range(i + 1, h)
+        if (masks[i] & masks[j]).bit_count() == k - 1
+    )
+    rows = [0] * (h + 1)
+    for a, b in edges:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return edges, tuple(rows)
+
+
+@st.composite
+def wide_ksubset_sequences(draw):
+    """Up to 80 distinct k-subsets of [n], n <= 12 and k <= 5; about half
+    are ridge neighbours of an earlier facet, so ridges shared by three or
+    more facets are common."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, min(5, n)))
+    h = draw(st.integers(1, min(80, math.comb(n, k))))
+    rng = draw(st.randoms(use_true_random=False))
+    masks = [sum(1 << v for v in rng.sample(range(n), k))]
+    chosen = set(masks)
+    while len(masks) < h:
+        base = rng.choice(masks)
+        if 0 < k < n and rng.random() < 0.5:
+            inside = [v for v in range(n) if base >> v & 1]
+            outside = [v for v in range(n) if not base >> v & 1]
+            cand = base ^ 1 << rng.choice(inside) ^ 1 << rng.choice(outside)
+        else:
+            cand = sum(1 << v for v in rng.sample(range(n), k))
+        if cand not in chosen:
+            chosen.add(cand)
+            masks.append(cand)
+    return FacetSequence(tuple(KSubset.from_mask(n, m) for m in masks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(wide_ksubset_sequences(), flag_sequences(max_size=40)))
+def test_dual_graph_matches_pair_scan(seq):
+    edges, rows = reference_dual_graph(seq)
+    graph = dual_graph(seq)
+    assert graph.edges == edges
+    assert graph.rows == rows
+    assert graph == LabeledGraph(len(seq), edges)
+
+
+def reference_promote(seq):
+    graph = LabeledGraph(len(seq), reference_dual_graph(seq)[0])
+    return apply_positions(promotion_permutation(graph), seq)
+
+
+def reference_evacuate(seq):
+    for r in range(len(seq), 1, -1):
+        seq = FacetSequence(reference_promote(FacetSequence(seq.items[:r])).items + seq.items[r:])
+    return seq
+
+
+def reference_promote_via_moves(seq):
+    items = list(seq.items)
+    k = len(items[0])
+    for i in range(len(items) - 1):
+        if (items[i].mask & items[i + 1].mask).bit_count() != k - 1:
+            items[i], items[i + 1] = items[i + 1], items[i]
+    return FacetSequence(tuple(items))
+
+
+@pytest.mark.parametrize(
+    "seed, n, k, h", [(1, 9, 3, 60), (2, 10, 4, 100), (3, 11, 3, 130), (4, 12, 4, 160)]
+)
+def test_long_promotions_match_the_pair_scan_graph(seed, n, k, h):
+    seq = grow_shelling_order(seed, n, k, h)
+    assert promote(seq) == reference_promote(seq)
+    assert evacuate(seq) == reference_evacuate(seq)
+    assert promote_via_moves(seq) == reference_promote_via_moves(seq)
 
 
 # --- the order walker against the recursions it replaced -------------------
