@@ -70,11 +70,12 @@ def graph_of(seq: FacetSequence, kind: GraphKind) -> LabeledGraph:
     if kind is GraphKind.DUAL:
         return dual_graph(seq)
     position = {item: i + 1 for i, item in enumerate(seq.items)}
-    edges = {
-        (position[lo], position[hi])
-        for lo, hi in induced_covers(seq.support(), _order_of(seq.items[0]))
-    }
-    return LabeledGraph(len(seq), frozenset(edges))
+    rows = [0] * (len(seq) + 1)
+    for lo, hi in induced_covers(seq.support(), _order_of(seq.items[0])):
+        a, b = position[lo], position[hi]
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return LabeledGraph._of_rows(len(seq), rows)
 
 
 def promote(seq: FacetSequence, kind: GraphKind = GraphKind.DUAL) -> FacetSequence:

@@ -161,18 +161,27 @@ def _sum_tallies(
     return checks, failures, first
 
 
+# (setup, shape) -> check, built once per process during one sweep;
+# ``_sweep`` empties it when it ends
+_CHECKS: dict = {}
+
+
 def _chunk(args: tuple) -> tuple[int, int, Optional[str]]:
     setup, shape, items = args
-    check = setup(*shape)
+    key = (setup, shape)
+    check = _CHECKS.get(key)
+    if check is None:
+        check = _CHECKS[key] = setup(*shape)
     return _sum_tallies(map(check, items))
 
 
 def _sweep(suite: str, build, setup, shape: tuple, jobs: int) -> RunReport:
     """Every suite's driver.  ``build(*shape)`` gives the instance count to
     report and the items to check (a list or range), which are cut into
-    chunks.  Per chunk, in the worker, ``setup(*shape)`` gives the check
-    from an item to its (checks, failures, first counterexample).  Chunk
-    tallies are summed in visit order, so ``jobs`` changes no report."""
+    chunks.  In each process that checks chunks, ``setup(*shape)`` runs
+    once per sweep and gives the check from an item to its (checks,
+    failures, first counterexample).  Chunk tallies are summed in visit
+    order, so ``jobs`` changes no report."""
     started = time.perf_counter()
     instances, items = build(*shape)
     if not instances:
@@ -180,7 +189,10 @@ def _sweep(suite: str, build, setup, shape: tuple, jobs: int) -> RunReport:
         n, k = shape[:2]
         raise ValueError(f"{suite} has no families to sweep at n = {n}, k = {k}")
     args = [(setup, shape, items[lo:hi]) for lo, hi in _chunks(len(items))]
-    checks, failures, first = _sum_tallies(_run_chunked(_chunk, args, jobs))
+    try:
+        checks, failures, first = _sum_tallies(_run_chunked(_chunk, args, jobs))
+    finally:
+        _CHECKS.clear()
     duration = time.perf_counter() - started
     return RunReport(suite, instances, checks, failures, first, duration)
 

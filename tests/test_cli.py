@@ -496,6 +496,44 @@ class TestVerifyCommand:
         assert suites._run_chunked(abs, [-1, -2], 8) == [1, 2]
         assert sizes == [3, 2, 2]
 
+    @pytest.mark.parametrize(
+        "suite, setup, shape",
+        [
+            ("extensions-shell", "_extensions_shell_setup", (4, 2)),
+            ("barycentric-coxeter", "_barycentric_coxeter_setup", (4, 2)),
+            ("conf-ideals-flagshell", "_conf_ideals_setup", (3, 2)),
+            ("promotion-shell", "_corpus_setup", (4, 2)),
+            ("evacuation-shell", "_corpus_setup", (4, 2)),
+            ("eq2-oracle", "_corpus_setup", (4, 2)),
+            ("hasse-vs-dual", "_hasse_vs_dual_setup", (4, 2)),
+            ("remark-bruhat-graph", "_remark_setup", (5, 2)),
+        ],
+    )
+    def test_setup_runs_once_per_sweep(self, monkeypatch, suite, setup, shape):
+        calls = []
+        original = getattr(suites, setup)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(suites, setup, counting)
+        chunks = []
+        run_chunked = suites._run_chunked
+
+        def counting_chunks(worker, args_list, jobs):
+            chunks.append(len(args_list))
+            return run_chunked(worker, args_list, jobs)
+
+        monkeypatch.setattr(suites, "_run_chunked", counting_chunks)
+        for _ in range(2):
+            report = suites.SUITES[suite](*shape, jobs=1)
+            assert report.failures == 0
+            # nothing of a sweep outlives it
+            assert suites._CHECKS == {}
+        assert min(chunks) > 1
+        assert len(calls) == 2 and calls[0] == calls[1]
+
 
 def test_module_entry_point(tmp_path):
     path = write(tmp_path, "c.txt", "n=4 mode=sorted\n1 2\n2 3\n1 3\n1 4\n2 4\n")

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -172,6 +175,48 @@ class TestLabeledGraph:
         other = LabeledGraph(3, frozenset({(1, 2)}))
         object.__setattr__(other, "rows", ())
         assert g == other and hash(g) == hash(other)
+
+
+class TestLabeledGraphOfRows:
+    # the path 1 - 2 - 3
+    ROWS = (0, 0b100, 0b1010, 0b100)
+
+    def test_matches_the_edges_built_graph(self):
+        g = LabeledGraph._of_rows(3, list(self.ROWS))
+        want = LabeledGraph(3, [(3, 2), (1, 2)])
+        assert g.rows == want.rows == self.ROWS
+        assert g.edges == frozenset({(1, 2), (2, 3)})
+        assert g == want and want == g and hash(g) == hash(want)
+        assert repr(g) == repr(LabeledGraph(3, [(1, 2), (2, 3)]))
+        assert repr(LabeledGraph._of_rows(2, (0, 0b100, 0b10))) == (
+            "LabeledGraph(order=2, edges=frozenset({(1, 2)}))"
+        )
+        assert g != LabeledGraph(3, [(1, 2)])
+
+    def test_edges_listed_once_on_first_read(self):
+        g = LabeledGraph._of_rows(3, self.ROWS)
+        assert g._edges is None
+        edges = g.edges
+        assert g._edges is edges and g.edges is edges
+
+    @pytest.mark.parametrize("name", ["order", "edges", "rows"])
+    def test_assignment_raises(self, name):
+        g = LabeledGraph._of_rows(3, self.ROWS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, None)
+        g.edges  # listed edges are as fixed as the rest
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, None)
+        assert g.order == 3 and g.rows == self.ROWS
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickle_round_trip(self, read_first):
+        g = LabeledGraph._of_rows(3, self.ROWS)
+        if read_first:
+            g.edges
+        back = pickle.loads(pickle.dumps(g))
+        assert back.rows == g.rows and back == g and hash(back) == hash(g)
+        assert back.edges == frozenset({(1, 2), (2, 3)})
 
 
 def test_sort_to_ksubset_full_permutation():

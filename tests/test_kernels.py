@@ -4,8 +4,9 @@ Bruhat-order kernels against reference copies.
 The references are the straightforward forms the kernels replaced: the
 pair-by-pair ridge scan for ``is_shelling_order``, the ridge-list test
 for ``_append_ok``, the pair scan for the ridge-incidence ``dual_graph``
-(and promotion through the pair-scan graph for ``promote``, ``evacuate``
-and ``promote_via_moves``), edge-set scans for ``LabeledGraph`` lookups
+and the graph built from its edges for the rows-built one (and promotion
+through the pair-scan graph for ``promote``, ``evacuate`` and
+``promote_via_moves``), edge-set scans for ``LabeledGraph`` lookups
 and ``track``, one recursion per enumerator for the iterative order
 walker, separate basis-exchange and quasi-exchange scans for the shared
 exchange routine, pairwise ``leq`` scans for the dominance-row order
@@ -296,9 +297,34 @@ def wide_ksubset_sequences(draw):
 def test_dual_graph_matches_pair_scan(seq):
     edges, rows = reference_dual_graph(seq)
     graph = dual_graph(seq)
-    assert graph.edges == edges
     assert graph.rows == rows
-    assert graph == LabeledGraph(len(seq), edges)
+    assert track(graph) == reference_track(edges)
+    span = range(-1, graph.order + 3)
+    for a in span:
+        assert graph.neighbors(a) == reference_neighbors(edges, a)
+        for b in span:
+            assert graph.has_edge(a, b) is ((min(a, b), max(a, b)) in edges)
+    # the edge set is listed from the rows on its first read, here
+    assert graph._edges is None
+    assert graph.edges == edges
+    # ==, hash and repr each list the edges of a fresh graph
+    want = LabeledGraph(len(seq), edges)
+    assert dual_graph(seq) == want and want == dual_graph(seq)
+    assert hash(dual_graph(seq)) == hash(want)
+    # the listing is ascending, as a graph given its edges in that order
+    assert repr(dual_graph(seq)) == repr(LabeledGraph(len(seq), sorted(edges)))
+
+
+def test_hasse_graph_matches_the_pair_built_graph(bjorner):
+    position = {item: i + 1 for i, item in enumerate(bjorner.items)}
+    covers = induced_covers(bjorner.support(), OrderKind.GALE)
+    want = LabeledGraph(len(bjorner), [(position[lo], position[hi]) for lo, hi in covers])
+    graph = promotion.graph_of(bjorner, GraphKind.HASSE)
+    assert graph.rows == want.rows
+    assert track(graph) == reference_track(want.edges)
+    assert graph._edges is None
+    assert graph.edges == want.edges
+    assert graph == want and want == graph and hash(graph) == hash(want)
 
 
 def reference_promote(seq):
