@@ -10,6 +10,7 @@ transforms print their result in the same file format.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -253,6 +254,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the whole command tree on each call."""
     parser = argparse.ArgumentParser(
         prog="shellorder",
         description="Checks and transforms for shelling orders, matroid axioms, "
@@ -260,56 +262,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # handlers go in by name and ``main`` looks them up when it dispatches,
+    # so the parser it keeps never holds on to a replaced handler
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         return p
 
     for name, fn, help_ in [
-        ("check-shelling", _cmd_check_shelling, "is the sequence a shelling order"),
+        ("check-shelling", "_cmd_check_shelling", "is the sequence a shelling order"),
         (
             "check-flag-shelling",
-            _cmd_check_flag_shelling,
+            "_cmd_check_flag_shelling",
             "is the tuple sequence a flag shelling order",
         ),
-        ("check-matroid", _cmd_check_exchange, "does the family satisfy basis exchange"),
+        ("check-matroid", "_cmd_check_exchange", "does the family satisfy basis exchange"),
         (
             "check-quasi-exchange",
-            _cmd_check_exchange,
+            "_cmd_check_exchange",
             "does the family satisfy quasi-exchange",
         ),
         (
             "check-coxeter-matroid",
-            _cmd_check_coxeter,
+            "_cmd_check_coxeter",
             "does every shifted image have a unique maximum",
         ),
-        ("check-order-ideal", _cmd_check_order_ideal, "is the set downward closed"),
+        ("check-order-ideal", "_cmd_check_order_ideal", "is the set downward closed"),
         (
             "check-linear-extension",
-            _cmd_check_linear_extension,
+            "_cmd_check_linear_extension",
             "is the sequence a linear extension of its support",
         ),
-        ("list-extensions", _cmd_list_extensions, "print every linear extension"),
-        ("find-shelling", _cmd_find_shelling, "search for a shelling order"),
-        ("barycentric", _cmd_barycentric, "print the barycentric subdivision"),
+        ("list-extensions", "_cmd_list_extensions", "print every linear extension"),
+        ("find-shelling", "_cmd_find_shelling", "search for a shelling order"),
+        ("barycentric", "_cmd_barycentric", "print the barycentric subdivision"),
     ]:
         p = add(name, fn, help=help_)
         p.add_argument("file")
 
     for name, fn, help_ in [
-        ("promote", _cmd_promote, "promote the sequence"),
-        ("evacuate", _cmd_evacuate, "evacuate the sequence"),
-        ("export-dot", _cmd_export_dot, "emit the graph in DOT form"),
+        ("promote", "_cmd_promote", "promote the sequence"),
+        ("evacuate", "_cmd_evacuate", "evacuate the sequence"),
+        ("export-dot", "_cmd_export_dot", "emit the graph in DOT form"),
     ]:
         p = add(name, fn, help=help_)
         p.add_argument("--graph", choices=["dual", "hasse"], required=True)
         p.add_argument("file")
 
-    p = add("isomorphic", _cmd_isomorphic, help="are two sequences relabelings of each other")
+    p = add(
+        "isomorphic", "_cmd_isomorphic", help="are two sequences relabelings of each other"
+    )
     p.add_argument("first")
     p.add_argument("second")
 
-    p = add("verify", _cmd_verify, help="run a verification sweep")
+    p = add("verify", "_cmd_verify", help="run a verification sweep")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -320,11 +326,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on its first call, then reused in
+    this process (a build costs about as much as a small check)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from shellorder import (
     all_ksubsets,
 )
 from shellorder import cli, suites
-from shellorder.cli import export_dot, main, parse_input, serialize
+from shellorder.cli import build_parser, export_dot, main, parse_input, serialize
 from shellorder.promotion import GraphKind
 
 from conftest import grow_shelling_order, make_ksubset as ks
@@ -282,6 +282,118 @@ def test_memory_error_is_a_usage_error(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: out of memory\n"
     assert captured.out == ""
+
+
+IDEAL_TEXT = "n=4 mode=tuple\n1 2\n1 3\n2 1\n2 3\n1 4\n"
+
+
+class TestReusedParser:
+    """``main`` builds its parser once per process; a reused parser must
+    behave exactly as a fresh one."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        err = "".join(
+            line for line in captured.err.splitlines(True)
+            if not line.startswith("duration: ")
+        )
+        return code, captured.out, err
+
+    def test_one_build_per_process(self, tmp_path, monkeypatch):
+        builds = []
+        build = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        order = write(tmp_path, "c.txt", BJORNER_TEXT)
+        ideal = write(tmp_path, "i.txt", IDEAL_TEXT)
+        assert main(["check-shelling", order]) == 0
+        assert main(["promote", "--graph", "dual", order]) == 0
+        assert main(["check-order-ideal", ideal]) == 0
+        assert len(builds) == 1
+
+    def test_reused_parser_matches_a_fresh_one(self, tmp_path, capsys):
+        order = write(tmp_path, "c.txt", BJORNER_TEXT)
+        ideal = write(tmp_path, "i.txt", IDEAL_TEXT)
+        calls = [
+            ["check-shelling", order],
+            ["promote", "--graph", "dual", order],
+            ["evacuate", "--graph", "hasse", ideal],
+            ["verify", "remark-bruhat-graph", "--n", "4", "--k", "2"],
+            ["check-order-ideal", ideal],
+        ]
+        reused = [self.outcome(argv, capsys) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(self.outcome(argv, capsys))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0]
+
+    def test_help_of_the_reused_parser(self, capsys):
+        fresh = build_parser()
+        for _ in range(2):
+            assert self.outcome(["--help"], capsys) == (
+                ("exit", 0), fresh.format_help(), ""
+            )
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify", "--help"])
+        verify_help = capsys.readouterr().out
+        assert verify_help.startswith("usage: shellorder verify")
+        for _ in range(2):
+            assert self.outcome(["verify", "--help"], capsys) == (
+                ("exit", 0), verify_help, ""
+            )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["promote", "x.txt"], "the following arguments are required: --graph"),
+            (["verify", "no-such-suite", "--n", "4", "--k", "2"], "invalid choice"),
+        ],
+    )
+    def test_usage_error_repeats(self, argv, message, capsys):
+        first = self.outcome(argv, capsys)
+        assert first[0] == ("exit", 2) and first[1] == "" and message in first[2]
+        assert self.outcome(argv, capsys) == first
+
+    def test_handler_patched_after_the_build_runs(self, tmp_path, monkeypatch, capsys):
+        path = write(tmp_path, "c.txt", BJORNER_TEXT)
+        assert main(["check-shelling", path]) == 0
+        capsys.readouterr()
+
+        def patched(args):
+            print(f"patched {args.command}")
+            return 1
+
+        monkeypatch.setattr(cli, "_cmd_check_shelling", patched)
+        assert self.outcome(["check-shelling", path], capsys) == (
+            1, "patched check-shelling\n", ""
+        )
+
+    def test_argv_defaults_to_the_process_arguments(self, tmp_path, monkeypatch, capsys):
+        # the installed ``shellorder`` script calls ``main()`` with no argv
+        path = write(tmp_path, "c.txt", BJORNER_TEXT)
+        monkeypatch.setattr(sys, "argv", ["shellorder", "check-shelling", path])
+        assert self.outcome(None, capsys) == (0, "holds\n", "")
+        monkeypatch.setattr(sys, "argv", ["shellorder", "promote", path])
+        code, out, err = self.outcome(None, capsys)
+        assert code == ("exit", 2) and out == ""
+        assert err.endswith("error: the following arguments are required: --graph\n")
 
 
 class TestExportDot:
