@@ -7,8 +7,9 @@ per-sequence bitmask universe, so one checker serves both alphabets.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterator, Optional
 
 from .core import (
@@ -22,23 +23,100 @@ from .core import (
     canonical_key,
 )
 
+# Facet masks whose ridge lists are kept; a fixed bound, so a long run
+# of distinct facets does not grow the cache.
+_RIDGE_CACHE_SIZE = 4096
 
-@dataclass(frozen=True)
+
 class ShellingWitness:
     """Certificates (i, j, z), 1-indexed: position z < j glues facet j onto
     the earlier complex along a ridge covering its overlap with facet i.
-    ``failing`` is the least (j, i) pair with no certificate, if any."""
+    ``failing`` is the least (j, i) pair with no certificate, if any.
 
-    holds: bool
-    certificates: tuple[tuple[int, int, int], ...]
-    failing: Optional[tuple[int, int]] = None
+    Equality, hash and repr are those of a frozen dataclass with the
+    fields ``holds``, ``certificates`` and ``failing``, and no attribute
+    can be assigned.  ``is_shelling_order`` builds the witness with
+    ``_of_masks``, which keeps the facet masks instead; the certificates
+    are then listed from them on their first read (by ``certificates``,
+    ``==``, ``hash`` or ``repr``) and kept."""
 
-    def __post_init__(self) -> None:
-        if self.holds == (self.failing is not None):
+    __slots__ = ("holds", "failing", "_certificates", "_masks")
+
+    def __init__(
+        self,
+        holds: bool,
+        certificates: tuple[tuple[int, int, int], ...],
+        failing: Optional[tuple[int, int]] = None,
+    ) -> None:
+        if holds == (failing is not None):
             raise ValueError("failing pair must be present exactly on failure")
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "failing", failing)
+        object.__setattr__(self, "_certificates", certificates)
+        object.__setattr__(self, "_masks", None)
+
+    @classmethod
+    def _of_masks(
+        cls, masks: list[int], k: int, failing: Optional[tuple[int, int]]
+    ) -> "ShellingWitness":
+        """The witness of the facet masks of a sequence whose verdict is
+        already decided: ``failing`` must be its least failing pair."""
+        witness = object.__new__(cls)
+        object.__setattr__(witness, "holds", failing is None)
+        object.__setattr__(witness, "failing", failing)
+        object.__setattr__(witness, "_certificates", None)
+        object.__setattr__(witness, "_masks", (masks, k))
+        return witness
+
+    @property
+    def certificates(self) -> tuple[tuple[int, int, int], ...]:
+        if self._masks is not None:
+            object.__setattr__(self, "_certificates", _list_certificates(*self._masks))
+            object.__setattr__(self, "_masks", None)
+        return self._certificates
 
     def __bool__(self) -> bool:
         return self.holds
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.holds, self.certificates, self.failing) == (
+            other.holds,
+            other.certificates,
+            other.failing,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.holds, self.certificates, self.failing))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(holds={self.holds!r}, "
+            f"certificates={self.certificates!r}, failing={self.failing!r})"
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ShellingWitness, (self.holds, self.certificates, self.failing)
+
+
+@functools.lru_cache(maxsize=_RIDGE_CACHE_SIZE)
+def _ridges(mask: int) -> tuple[int, ...]:
+    """The ridges of the facet ``mask``: the mask minus one vertex bit,
+    for each of its bits in ascending order."""
+    out = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        out.append(mask ^ low)
+    return tuple(out)
 
 
 def facet_masks(items: tuple) -> tuple[list[int], int]:
@@ -63,15 +141,53 @@ def facet_masks(items: tuple) -> tuple[list[int], int]:
 def is_shelling_order(seq: FacetSequence) -> ShellingWitness:
     """Check the gluing condition for every pair i < j.
 
+    Restriction-face form (Björner, *Topological methods*, Handbook of
+    Combinatorics, 1995, §11): let R_j be the set of vertices v of F_j
+    whose ridge F_j - v lies in an earlier facet.  F_j glues onto the
+    earlier complex iff no earlier F_i contains R_j, and a pair (i, j)
+    with R_j inside F_i is exactly a pair with no certificate.  The
+    ridges placed so far are kept in a set, and each vertex keeps the
+    bits of the positions holding it, so R_j costs k set lookups and the
+    earlier facets containing it are the AND of its vertices' position
+    bits below j; the lowest bit is the least failing i, and the first
+    such j stops the scan.  O(h·k) set and mask steps for h k-facets.
+
+    The certificates are not needed for the verdict: the witness lists
+    them (O(h^2 k)) on their first read.
+    """
+    masks, k = facet_masks(seq.items)
+    held: set[int] = set()  # the ridges of the facets placed so far
+    holders: dict[int, int] = {}  # vertex bit -> bits of the positions holding it
+    get = holders.get
+    for j, mask in enumerate(masks):
+        bit = 1 << j
+        meet = bit - 1  # the earlier positions holding every vertex of R_j
+        own = _ridges(mask)
+        for ridge in own:
+            v = mask ^ ridge
+            positions = get(v, 0)
+            if ridge in held:
+                meet &= positions
+            holders[v] = positions | bit
+        if meet:
+            return ShellingWitness._of_masks(
+                masks, k, ((meet & -meet).bit_length(), j + 1)
+            )
+        held.update(own)
+    return ShellingWitness._of_masks(masks, k, None)
+
+
+def _list_certificates(masks: list[int], k: int) -> tuple[tuple[int, int, int], ...]:
+    """The certificates of ``is_shelling_order``, up to its failing pair.
+
     Ridge-vertex form: a ridge of F_j is an earlier facet F_z meeting it
     in k - 1 vertices, so it misses exactly one vertex of F_j.  Per j,
     the latest ridge missing each vertex is recorded.  F_j glues onto
     F_i's overlap along F_z iff F_z misses a vertex of F_j outside F_i,
     so the certificate z for (i, j) is the latest recorded ridge over the
-    vertices of F_j minus F_i.  The first failure (least j, then least i)
-    stops the scan.  O(h^2 k) mask operations.
+    vertices of F_j minus F_i.  The first pair with none stops the list.
+    O(h^2 k) mask operations.
     """
-    masks, k = facet_masks(seq.items)
     h = len(masks)
     certs: list[tuple[int, int, int]] = []
     for j in range(1, h):
@@ -92,13 +208,14 @@ def is_shelling_order(seq: FacetSequence) -> ShellingWitness:
                     certs.append((i + 1, j + 1, z + 1))
                     break
             else:
-                return ShellingWitness(False, tuple(certs), (i + 1, j + 1))
-    return ShellingWitness(True, tuple(certs), None)
+                return tuple(certs)
+    return tuple(certs)
 
 
 def _append_ok(placed: list[int], cand: int, k: int) -> bool:
-    # Ridge-vertex form of is_shelling_order's test for one new facet:
-    # every earlier facet must miss a vertex of cand that some ridge misses.
+    # The restriction-face test of is_shelling_order, in one shot for one
+    # new facet: ridge_missed is its R_j, and every earlier facet must
+    # miss a vertex of cand in it.
     if not placed:
         return True
     ridge_missed = 0
@@ -287,17 +404,12 @@ def dual_graph(seq: FacetSequence) -> LabeledGraph:
         return LabeledGraph._of_rows(h, rows)
     holders: dict[int, int] = {}  # ridge mask -> bits of the positions holding it
     get = holders.get
-    ridges: list[list[int]] = []  # the ridge masks of each position
+    ridges: list[tuple[int, ...]] = []  # the ridge masks of each position
     for j, mask in enumerate(masks, 1):
         bit = 1 << j
-        own = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            ridge = mask ^ low
+        own = _ridges(mask)
+        for ridge in own:
             holders[ridge] = get(ridge, 0) | bit
-            own.append(ridge)
         ridges.append(own)
     for j, own in enumerate(ridges, 1):
         row = 0

@@ -393,7 +393,7 @@ def check_appending_swap(seq: FacetSequence) -> Optional[str]:
     masks, k = facet_masks(seq.items)
     if (masks[-2] & masks[-1]).bit_count() >= k - 1:
         return None
-    swapped = FacetSequence(seq.items[:-2] + (seq.items[-1], seq.items[-2]))
+    swapped = FacetSequence._trusted(seq.items[:-2] + (seq.items[-1], seq.items[-2]))
     if not is_shelling_order(swapped):
         return f"swapping the last two of {_fmt_seq(seq)} breaks the shelling"
     return None

@@ -40,6 +40,7 @@ from shellorder import (
     LabeledGraph,
     OrderKind,
     PureComplex,
+    ShellingWitness,
     apply_positions,
     dual_graph,
     elementary_move,
@@ -71,7 +72,7 @@ from shellorder.core import _bits, canonical_key
 from shellorder.matroid import ExchangeWitness, MatroidVerdict
 from shellorder.shelling import _append_ok, _tally_orders, _walk_orders, facet_masks
 from shellorder.subdivision import flag_facet
-from shellorder.suites import _fmt_seq, _tally
+from shellorder.suites import _fmt_seq, _tally, check_appending_swap, random_corpus
 
 from conftest import grow_shelling_order
 
@@ -172,15 +173,6 @@ def flag_sequences(draw, max_size=10):
 
 
 any_sequences = st.one_of(ksubset_sequences(), grown_sequences(), flag_sequences())
-
-
-@settings(max_examples=400, deadline=None)
-@given(any_sequences)
-def test_is_shelling_order_matches_pair_scan(seq):
-    witness = is_shelling_order(seq)
-    assert (witness.holds, witness.certificates, witness.failing) == (
-        reference_is_shelling_order(seq)
-    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -290,6 +282,22 @@ def wide_ksubset_sequences(draw):
             chosen.add(cand)
             masks.append(cand)
     return FacetSequence(tuple(KSubset.from_mask(n, m) for m in masks))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(any_sequences, wide_ksubset_sequences(), flag_sequences(max_size=40)))
+def test_is_shelling_order_matches_pair_scan(seq):
+    holds, certificates, failing = reference_is_shelling_order(seq)
+    witness = is_shelling_order(seq)
+    # the verdict is decided before any certificate is listed
+    assert (witness.holds, witness.failing) == (holds, failing)
+    assert witness._masks is not None
+    assert witness.certificates == certificates
+    # ==, hash and repr each list the certificates of a fresh witness
+    eager = ShellingWitness(holds, certificates, failing)
+    assert is_shelling_order(seq) == eager and eager == is_shelling_order(seq)
+    assert hash(is_shelling_order(seq)) == hash(eager)
+    assert repr(is_shelling_order(seq)) == repr(eager)
 
 
 @settings(max_examples=300, deadline=None)
@@ -927,6 +935,16 @@ def test_first_extension_of_1035_facets_needs_no_pairwise_leq(monkeypatch):
     first = next(linear_extensions(facets, OrderKind.GALE))
     assert len(first) == 1_035
     assert first.items == facets
+
+
+def test_appending_swap_builds_no_validated_sequence(monkeypatch):
+    corpus = random_corpus(6, 3, 200, seed=13, h_max=8)
+    broken = FacetSequence(tuple(KSubset(6, m) for m in ((1, 2), (3, 4), (5, 6))))
+    want = [check_appending_swap(C) for C in corpus + (broken,)]
+    assert want[-1] is not None and want.count(None) == len(corpus)
+    # the swap of a validated order is wrapped, not validated again
+    _refuse_construction(monkeypatch, FacetSequence)
+    assert [check_appending_swap(C) for C in corpus + (broken,)] == want
 
 
 # --- the per-family sweep kernels against recursions and per-pair scans ------

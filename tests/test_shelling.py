@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import sys
 from random import Random
 
@@ -10,6 +12,7 @@ from shellorder import (
     KSubset,
     OrderKind,
     PureComplex,
+    ShellingWitness,
     all_ksubsets,
     are_isomorphic,
     dual_graph,
@@ -20,6 +23,8 @@ from shellorder import (
     relabel,
     shelling_orders,
 )
+from shellorder import shelling
+from shellorder.subdivision import flag_facet
 from shellorder.suites import random_corpus
 
 from conftest import make_ksubset as ks
@@ -62,6 +67,75 @@ class TestIsShellingOrder:
     def test_rejects_tuple_facets(self):
         with pytest.raises(TypeError):
             is_shelling_order(FacetSequence((FlagTuple(4, (1, 2)),)))
+
+    def test_single_facet_of_each_alphabet(self):
+        for one in (
+            seq(3, "123"),
+            FacetSequence((KSubset(3, ()),)),
+            FacetSequence((flag_facet(FlagTuple(4, (2, 4, 1))),)),
+        ):
+            witness = is_shelling_order(one)
+            assert witness == ShellingWitness(True, (), None)
+
+    def test_points_always_glue(self):
+        # k = 1: each point meets every earlier one in the empty ridge, so
+        # the latest earlier point certifies every pair
+        points = FacetSequence(tuple(KSubset(6, (v,)) for v in (4, 1, 6, 2)))
+        witness = is_shelling_order(points)
+        assert witness.holds and witness.failing is None
+        assert witness.certificates == tuple(
+            (i, j, j - 1) for j in range(2, 5) for i in range(1, j)
+        )
+
+    def test_failure_lists_certificates_up_to_the_failing_pair(self):
+        # R_4 = {4}: only 35 of the ridges of 345 is held, by 135; 124
+        # holds vertex 4 and 123 does not
+        witness = is_shelling_order(seq(5, "123", "124", "135", "345"))
+        assert witness.failing == (2, 4)
+        assert witness.certificates == ((1, 2, 1), (1, 3, 1), (2, 3, 1), (1, 4, 3))
+        assert not witness
+
+    def test_witness_is_frozen(self):
+        witness = is_shelling_order(seq(4, "12", "23", "34"))
+        for name in ("holds", "certificates", "failing", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(witness, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(witness, name)
+        assert witness.certificates == ((1, 2, 1), (1, 3, 2), (2, 3, 2))
+
+    def test_witness_pickles(self):
+        for order in (seq(4, "12", "23", "34"), seq(6, "123", "456", "124")):
+            witness = is_shelling_order(order)
+            copy = pickle.loads(pickle.dumps(witness))
+            assert type(copy) is ShellingWitness
+            assert (copy.holds, copy.certificates, copy.failing) == (
+                witness.holds,
+                witness.certificates,
+                witness.failing,
+            )
+            assert copy == witness and hash(copy) == hash(witness)
+
+    def test_constructor_validates(self):
+        with pytest.raises(ValueError):
+            ShellingWitness(True, (), (1, 2))
+        with pytest.raises(ValueError):
+            ShellingWitness(False, ())
+        witness = ShellingWitness(False, ((1, 2, 1),), (2, 3))
+        assert repr(witness) == (
+            "ShellingWitness(holds=False, certificates=((1, 2, 1),), failing=(2, 3))"
+        )
+        assert witness != (False, ((1, 2, 1),), (2, 3))
+
+    def test_ridge_cache_is_bounded(self):
+        shelling._ridges.cache_clear()
+        # initial segments of the lex order: 6,600 distinct facets in all
+        for r in range(3, 14):
+            first = itertools.islice(all_ksubsets(16, r), 600)
+            assert is_shelling_order(FacetSequence(tuple(first))).holds
+        info = shelling._ridges.cache_info()
+        assert info.maxsize == shelling._RIDGE_CACHE_SIZE
+        assert 0 < info.currsize <= info.maxsize < info.misses
 
 
 class TestSearch:
