@@ -37,6 +37,8 @@ DescentSet = frozenset  # positions i in [n-1]
 
 
 def _require_permutation(w: FlagTuple, name: str = "w") -> None:
+    if not isinstance(w, FlagTuple):
+        raise TypeError(f"{name} must be a FlagTuple, got {type(w).__name__}")
     if not w.is_permutation():
         raise ValueError(f"{name} must be a full permutation of [{w.n}]")
 

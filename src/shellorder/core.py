@@ -15,7 +15,7 @@ reduces to constant-time bitmask arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 MAX_UNIVERSE = 64
@@ -242,27 +242,36 @@ class FacetSequence:
         return self.items[i]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class LabeledGraph:
     """A simple undirected graph on the vertex set {1, ..., order}.
 
-    ``edges`` may be any iterable of pairs in either orientation; it is
-    stored as a frozenset of (low, high) pairs.  ``rows[v]`` has bit u
-    set iff u and v are adjacent (``rows[0]`` is 0); it is derived from
-    ``edges`` and takes no part in equality.  Equality, hash and repr are
-    those of a frozen dataclass with the fields ``order`` and ``edges``,
-    and no attribute can be assigned.
+    The graph is its adjacency rows: ``rows[v]`` has bit u set iff u and
+    v are adjacent (``rows[0]`` is 0).  Equality and hash compare the
+    fields ``order`` and ``rows``, which is the same as comparing order
+    and edge set.  ``edges`` lists the (low, high) pairs as a frozenset
+    on each read, and does not keep them; the repr shows them.
 
-    Kernels whose rows are correct by construction build the graph with
-    ``_of_rows`` instead, which takes the rows as given; the edge set is
-    then listed from the rows on its first read (by ``edges``, ``==``,
-    ``hash`` or ``repr``) and kept."""
+    ``edges`` may be given as any iterable of pairs in either
+    orientation.  Kernels whose rows are correct by construction build
+    the graph with ``_of_rows`` instead, which takes the rows as given."""
 
-    __slots__ = ("order", "rows", "_edges")
+    __slots__ = ("order", "rows")
+    order: int
+    rows: tuple[int, ...]
 
     def __init__(self, order: int, edges: Iterable[tuple[int, int]]) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_edges", edges)
-        self.__post_init__()
+        if order < 1:
+            raise ValueError(f"graph order must be positive, got {order}")
+        rows = [0] * (order + 1)
+        for a, b in edges:
+            if not (0 < a <= order and 0 < b <= order and a != b):
+                if a == b:
+                    raise ValueError(f"loop at vertex {a}")
+                raise ValueError(f"edge ({a}, {b}) leaves [{order}]")
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        self.__post_init__(order, tuple(rows))
 
     @classmethod
     def _of_rows(cls, order: int, rows: Iterable[int]) -> "LabeledGraph":
@@ -272,65 +281,22 @@ class LabeledGraph:
         at least 1: ``order + 1`` entries, ``rows[0]`` 0, symmetric, no
         bit v in ``rows[v]`` and no bit above ``order``."""
         graph = object.__new__(cls)
-        object.__setattr__(graph, "order", order)
-        object.__setattr__(graph, "rows", tuple(rows))
-        object.__setattr__(graph, "_edges", None)
-        graph.__post_init__()
+        graph.__post_init__(order, tuple(rows))
         return graph
 
-    def __post_init__(self) -> None:
-        """Validate the given edges into ``rows``; runs once per graph on
-        either path, and a graph from ``_of_rows`` has its rows already."""
-        if hasattr(self, "rows"):
-            return
-        order = self.order
-        if order < 1:
-            raise ValueError(f"graph order must be positive, got {order}")
-        norm: list[tuple[int, int]] = []
-        add = norm.append
-        rows = [0] * (order + 1)
-        for e in self._edges:
-            a, b = e
-            if 0 < a < b <= order:
-                # keep the caller's tuple; a list pair is not hashable
-                add(e if type(e) is tuple else (a, b))
-            elif 0 < b < a <= order:
-                add((b, a))
-            elif a == b:
-                raise ValueError(f"loop at vertex {a}")
-            else:
-                raise ValueError(f"edge ({a}, {b}) leaves [{order}]")
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-        object.__setattr__(self, "_edges", frozenset(norm))
-        object.__setattr__(self, "rows", tuple(rows))
+    def __post_init__(self, order: int, rows: tuple[int, ...]) -> None:
+        """Set the fields; runs once per graph, from either constructor."""
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        edges = self._edges
-        if edges is None:
-            edges = frozenset(
-                (a, b) for a, row in enumerate(self.rows) for b in _bits(row) if b > a
-            )
-            object.__setattr__(self, "_edges", edges)
-        return edges
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order, self.edges) == (other.order, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.edges))
+        return frozenset(
+            (a, b) for a, row in enumerate(self.rows) for b in _bits(row) if b > a
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(order={self.order!r}, edges={self.edges!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return LabeledGraph._of_rows, (self.order, self.rows)
@@ -343,8 +309,7 @@ class LabeledGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.order:
             return ()
-        row = self.rows[v]
-        return tuple(u for u in range(1, self.order + 1) if row >> u & 1)
+        return tuple(_bits(self.rows[v]))
 
 
 def sort_to_ksubset(x: FlagTuple) -> KSubset:

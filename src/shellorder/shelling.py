@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (
@@ -28,19 +28,22 @@ from .core import (
 _RIDGE_CACHE_SIZE = 4096
 
 
+@dataclass(frozen=True, init=False)
 class ShellingWitness:
     """Certificates (i, j, z), 1-indexed: position z < j glues facet j onto
     the earlier complex along a ridge covering its overlap with facet i.
     ``failing`` is the least (j, i) pair with no certificate, if any.
 
-    Equality, hash and repr are those of a frozen dataclass with the
-    fields ``holds``, ``certificates`` and ``failing``, and no attribute
-    can be assigned.  ``is_shelling_order`` builds the witness with
-    ``_of_masks``, which keeps the facet masks instead; the certificates
-    are then listed from them on their first read (by ``certificates``,
-    ``==``, ``hash`` or ``repr``) and kept."""
+    Equality, hash and repr compare the fields ``holds``,
+    ``certificates`` and ``failing``.  ``is_shelling_order`` builds the
+    witness with ``_of_masks``, which keeps the facet masks and leaves
+    ``certificates`` unset; the field is filled from the masks on its
+    first read (by ``certificates``, ``==``, ``hash`` or ``repr``)."""
 
-    __slots__ = ("holds", "failing", "_certificates", "_masks")
+    __slots__ = ("holds", "certificates", "failing", "_masks")
+    holds: bool
+    certificates: tuple[tuple[int, int, int], ...]
+    failing: Optional[tuple[int, int]]
 
     def __init__(
         self,
@@ -51,9 +54,8 @@ class ShellingWitness:
         if holds == (failing is not None):
             raise ValueError("failing pair must be present exactly on failure")
         object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "certificates", certificates)
         object.__setattr__(self, "failing", failing)
-        object.__setattr__(self, "_certificates", certificates)
-        object.__setattr__(self, "_masks", None)
 
     @classmethod
     def _of_masks(
@@ -64,43 +66,19 @@ class ShellingWitness:
         witness = object.__new__(cls)
         object.__setattr__(witness, "holds", failing is None)
         object.__setattr__(witness, "failing", failing)
-        object.__setattr__(witness, "_certificates", None)
         object.__setattr__(witness, "_masks", (masks, k))
         return witness
 
-    @property
-    def certificates(self) -> tuple[tuple[int, int, int], ...]:
-        if self._masks is not None:
-            object.__setattr__(self, "_certificates", _list_certificates(*self._masks))
-            object.__setattr__(self, "_masks", None)
-        return self._certificates
+    def __getattr__(self, name: str):
+        # reached only when normal lookup fails: an unset certificates slot
+        if name != "certificates":
+            raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
+        certificates = _list_certificates(*self._masks)
+        object.__setattr__(self, "certificates", certificates)
+        return certificates
 
     def __bool__(self) -> bool:
         return self.holds
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.holds, self.certificates, self.failing) == (
-            other.holds,
-            other.certificates,
-            other.failing,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.holds, self.certificates, self.failing))
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(holds={self.holds!r}, "
-            f"certificates={self.certificates!r}, failing={self.failing!r})"
-        )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return ShellingWitness, (self.holds, self.certificates, self.failing)
@@ -374,7 +352,7 @@ def dual_graph(seq: FacetSequence) -> LabeledGraph:
     """Positions i, j are adjacent iff the facets share all but one vertex.
 
     The graph is built as adjacency rows (``LabeledGraph._of_rows``) and
-    lists no edge; its edge set is listed from the rows when first read.
+    lists no edge; its edge set is listed from the rows on each read.
 
     Ridge-incidence form: two distinct k-facets are adjacent iff they
     contain a common (k - 1)-ridge (their intersection).  A first pass

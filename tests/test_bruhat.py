@@ -175,6 +175,20 @@ class TestDescentSet:
         assert descent_set(ft(7, "4317625")) == frozenset({1, 2, 4, 5})
 
 
+@pytest.mark.parametrize("bad", [ks(3, "123"), (2, 1, 3), None])
+def test_permutation_order_rejects_other_operands(bad):
+    # a TypeError naming the operand, in either position of the comparison
+    perm = ft(3, "213")
+    for compare in (perm_leq, lambda u, v: leq(u, v, OrderKind.PERM)):
+        with pytest.raises(TypeError, match=r"^u must be a FlagTuple, got "):
+            compare(bad, perm)
+        with pytest.raises(TypeError, match=r"^v must be a FlagTuple, got "):
+            compare(perm, bad)
+    for call in (lambda w: sort_blocks(w, {1}), descent_set):
+        with pytest.raises(TypeError, match=rf"^w must be a FlagTuple, got {type(bad).__name__}$"):
+            call(bad)
+
+
 def naive_covers(elements, kind):
     elems = list(elements)
     out = set()

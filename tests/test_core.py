@@ -168,13 +168,25 @@ class TestLabeledGraph:
         assert g.neighbors(g.order + 5) == ()
         assert g.neighbors(0) == () and g.neighbors(-1) == ()
 
-    def test_rows_outside_equality_hash_and_repr(self):
+    def test_equality_hash_and_repr_follow_order_and_edges(self):
         g = LabeledGraph(3, frozenset({(2, 1)}))
-        assert g.rows == (0, 0b100, 0b010, 0)
         assert repr(g) == "LabeledGraph(order=3, edges=frozenset({(1, 2)}))"
-        other = LabeledGraph(3, frozenset({(1, 2)}))
-        object.__setattr__(other, "rows", ())
-        assert g == other and hash(g) == hash(other)
+        # equal edges give equal graphs through either constructor
+        for other in (
+            LabeledGraph(3, [(1, 2), (2, 1)]),
+            LabeledGraph._of_rows(3, (0, 0b100, 0b010, 0)),
+        ):
+            assert g == other and other == g and hash(g) == hash(other)
+            assert repr(other) == repr(g)
+        # another order, or another edge, is another graph
+        for other in (
+            LabeledGraph(4, [(1, 2)]),
+            LabeledGraph(3, [(1, 2), (2, 3)]),
+            LabeledGraph(3, [(1, 3)]),
+            LabeledGraph(3, ()),
+        ):
+            assert g != other and other != g
+        assert g != (3, frozenset({(1, 2)}))
 
 
 class TestLabeledGraphOfRows:
@@ -193,21 +205,15 @@ class TestLabeledGraphOfRows:
         )
         assert g != LabeledGraph(3, [(1, 2)])
 
-    def test_edges_listed_once_on_first_read(self):
-        g = LabeledGraph._of_rows(3, self.ROWS)
-        assert g._edges is None
-        edges = g.edges
-        assert g._edges is edges and g.edges is edges
-
     @pytest.mark.parametrize("name", ["order", "edges", "rows"])
     def test_assignment_raises(self, name):
         g = LabeledGraph._of_rows(3, self.ROWS)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(g, name, None)
-        g.edges  # listed edges are as fixed as the rest
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(g, name, None)
+            delattr(g, name)
         assert g.order == 3 and g.rows == self.ROWS
+        assert g.edges == frozenset({(1, 2), (2, 3)})
 
     @pytest.mark.parametrize("read_first", [False, True])
     def test_pickle_round_trip(self, read_first):

@@ -312,14 +312,12 @@ def test_dual_graph_matches_pair_scan(seq):
         assert graph.neighbors(a) == reference_neighbors(edges, a)
         for b in span:
             assert graph.has_edge(a, b) is ((min(a, b), max(a, b)) in edges)
-    # the edge set is listed from the rows on its first read, here
-    assert graph._edges is None
     assert graph.edges == edges
-    # ==, hash and repr each list the edges of a fresh graph
+    # ==, hash and repr agree with the graph built from the edges
     want = LabeledGraph(len(seq), edges)
     assert dual_graph(seq) == want and want == dual_graph(seq)
     assert hash(dual_graph(seq)) == hash(want)
-    # the listing is ascending, as a graph given its edges in that order
+    # repr lists the edges from the rows, however they were given
     assert repr(dual_graph(seq)) == repr(LabeledGraph(len(seq), sorted(edges)))
 
 
@@ -330,7 +328,6 @@ def test_hasse_graph_matches_the_pair_built_graph(bjorner):
     graph = promotion.graph_of(bjorner, GraphKind.HASSE)
     assert graph.rows == want.rows
     assert track(graph) == reference_track(want.edges)
-    assert graph._edges is None
     assert graph.edges == want.edges
     assert graph == want and want == graph and hash(graph) == hash(want)
 
@@ -837,13 +834,7 @@ MALFORMED = [
     (OrderKind.GALE, [FlagTuple(4, (1, 2)), KSubset(4, (1, 2))], TypeError, TypeError),
     (OrderKind.CONF, [FlagTuple(4, (1, 2)), KSubset(4, (1, 2))], TypeError, TypeError),
     (OrderKind.CONF, [KSubset(4, (1, 2)), FlagTuple(4, (1, 2))], TypeError, TypeError),
-    # pairwise, perm_leq asked the KSubset whether it is a permutation
-    (
-        OrderKind.PERM,
-        [FlagTuple(3, (2, 1, 3)), KSubset(3, (1, 2, 3))],
-        TypeError,
-        AttributeError,
-    ),
+    (OrderKind.PERM, [FlagTuple(3, (2, 1, 3)), KSubset(3, (1, 2, 3))], TypeError, TypeError),
     (OrderKind.GALE, [KSubset(4, (1, 2)), KSubset(5, (1, 2))], ValueError, ValueError),
     (OrderKind.GALE, [KSubset(4, (1, 2)), KSubset(4, (1, 2, 3))], ValueError, ValueError),
     (OrderKind.CONF, [FlagTuple(4, (1, 2)), FlagTuple(5, (1, 2))], ValueError, ValueError),

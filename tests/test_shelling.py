@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import pickle
@@ -104,17 +105,35 @@ class TestIsShellingOrder:
                 delattr(witness, name)
         assert witness.certificates == ((1, 2, 1), (1, 3, 2), (2, 3, 2))
 
+    def test_other_attributes_are_missing(self):
+        order = seq(5, "123", "124", "135", "345")
+        lazy = is_shelling_order(order)
+        eager = ShellingWitness(False, ((1, 2, 1), (1, 3, 1), (2, 3, 1), (1, 4, 3)), (2, 4))
+        for witness in (lazy, eager):
+            for name in ("other", "_certificates", "__copy__"):
+                with pytest.raises(AttributeError, match=repr(name)):
+                    getattr(witness, name)
+                assert not hasattr(witness, name)
+        assert not hasattr(eager, "_masks")
+        # the lazy witness lists its certificates once, and keeps them
+        first = lazy.certificates
+        assert lazy.certificates is first and lazy == eager
+
     def test_witness_pickles(self):
+        # and copies, through the same __reduce__
+        round_trips = (lambda w: pickle.loads(pickle.dumps(w)), copy.copy, copy.deepcopy)
         for order in (seq(4, "12", "23", "34"), seq(6, "123", "456", "124")):
-            witness = is_shelling_order(order)
-            copy = pickle.loads(pickle.dumps(witness))
-            assert type(copy) is ShellingWitness
-            assert (copy.holds, copy.certificates, copy.failing) == (
-                witness.holds,
-                witness.certificates,
-                witness.failing,
-            )
-            assert copy == witness and hash(copy) == hash(witness)
+            for round_trip in round_trips:
+                witness = is_shelling_order(order)
+                back = round_trip(witness)
+                assert type(back) is ShellingWitness
+                assert (back.holds, back.certificates, back.failing) == (
+                    witness.holds,
+                    witness.certificates,
+                    witness.failing,
+                )
+                assert back == witness and hash(back) == hash(witness)
+                assert repr(back) == repr(witness)
 
     def test_constructor_validates(self):
         with pytest.raises(ValueError):
