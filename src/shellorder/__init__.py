@@ -25,10 +25,6 @@ from .core import (
     PureComplex,
     all_flag_tuples,
     all_ksubsets,
-    all_permutations,
-    identity_permutation,
-    sort_to_ksubset,
-    symmetric_difference_update,
 )
 from .matroid import (
     ExchangeWitness,
@@ -39,11 +35,9 @@ from .matroid import (
     is_matroid,
     shift,
     underlying_flag_matroid,
-    unique_maximum,
 )
 from .promotion import (
     GraphKind,
-    apply_positions,
     elementary_move,
     evacuate,
     graph_of,
@@ -64,7 +58,6 @@ from .shelling import (
 )
 from .subdivision import (
     barycentric,
-    face_poset_order_complex,
     flag_complex,
     flag_facet,
     is_flag_shellable,

@@ -33,7 +33,7 @@ from .matroid import has_quasi_exchange, is_coxeter_matroid, is_matroid
 from .promotion import GraphKind, evacuate, graph_of, promote, track
 from .shelling import are_isomorphic, find_shelling_order, is_shelling_order
 from .subdivision import barycentric, is_flag_shelling_order
-from .suites import SUITES, RunReport
+from .suites import CORPUS_SUITES, SUITES, RunReport
 
 _HEADER = re.compile(r"^n=(\d+)\s+mode=(sorted|tuple)$")
 
@@ -240,14 +240,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     suite = SUITES[args.suite]
     kwargs = {"n": args.n, "k": args.k, "jobs": args.jobs}
-    if args.suite in ("promotion-shell", "evacuation-shell", "eq2-oracle"):
-        if args.max_facets < 1:
-            raise ValueError(f"--max-facets must be at least 1, got {args.max_facets}")
-        if args.samples < 0:
-            raise ValueError(f"--samples must be at least 0, got {args.samples}")
-        kwargs.update(
-            max_facets=args.max_facets, samples=args.samples, seed=args.seed
-        )
+    if args.suite in CORPUS_SUITES:
+        kwargs.update(max_facets=args.max_facets, samples=args.samples, seed=args.seed)
     report = suite(**kwargs)
     _print_report(report)
     return 0 if report.failures == 0 else 1

@@ -69,9 +69,6 @@ class KSubset:
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
-    def __contains__(self, v: object) -> bool:
-        return v in self.members
-
 
 @dataclass(frozen=True)
 class FlagTuple:
@@ -136,14 +133,6 @@ class FlagVertexFacet:
 
     def chain(self) -> tuple[KSubset, ...]:
         return tuple(sorted(self.vertices, key=len))
-
-    def to_flag_tuple(self) -> FlagTuple:
-        """Recover the unique tuple whose prefix sets form this chain."""
-        chain = self.chain()
-        entries = list(chain[0].members)
-        for small, big in zip(chain, chain[1:]):
-            entries.extend(KSubset.from_mask(big.n, big.mask & ~small.mask).members)
-        return FlagTuple(chain[0].n, tuple(entries))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -312,22 +301,6 @@ class LabeledGraph:
         return tuple(_bits(self.rows[v]))
 
 
-def sort_to_ksubset(x: FlagTuple) -> KSubset:
-    """Forget the order of a tuple's entries."""
-    return KSubset(x.n, x.entries)
-
-
-def symmetric_difference_update(x: KSubset, drop: int, add: int) -> KSubset:
-    """One-element exchange: x + {drop, add} with drop in x and add outside."""
-    if drop not in x:
-        raise ValueError(f"{drop} is not a member of {x.members}")
-    if add in x:
-        raise ValueError(f"{add} is already a member of {x.members}")
-    if not 1 <= add <= x.n:
-        raise ValueError(f"{add} outside the universe [{x.n}]")
-    return KSubset(x.n, tuple(m for m in x.members if m != drop) + (add,))
-
-
 def _bits(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, ascending."""
     out = []
@@ -348,12 +321,3 @@ def all_flag_tuples(n: int, k: int) -> Iterator[FlagTuple]:
     """All injective k-tuples over {1, ..., n}, in lexicographic order."""
     for arrangement in itertools.permutations(range(1, n + 1), k):
         yield FlagTuple(n, arrangement)
-
-
-def all_permutations(n: int) -> Iterator[FlagTuple]:
-    """All of S_n in one-line notation, lexicographic order."""
-    return all_flag_tuples(n, n)
-
-
-def identity_permutation(n: int) -> FlagTuple:
-    return FlagTuple(n, tuple(range(1, n + 1)))

@@ -1,8 +1,8 @@
 """Matroid and Coxeter-matroid axioms.
 
-Basis exchange, the quasi-exchange weakening, unique-maximum tests, the
-full symmetric-group maximality sweep, shifts, and underlying flag
-matroids.  Verdicts carry replayable counterexample witnesses.
+Basis exchange, the quasi-exchange weakening, the full symmetric-group
+maximality sweep, shifts, and underlying flag matroids.  Verdicts carry
+replayable counterexample witnesses.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .bruhat import (
-    OrderKind,
     _check_operands,
     _dominance_key,
     _greatest,
@@ -105,16 +104,6 @@ def is_matroid(facets: Iterable[KSubset]) -> MatroidVerdict:
 def has_quasi_exchange(facets: Iterable[KSubset]) -> MatroidVerdict:
     """Exchange demanded only for i in x\\y exceeding max(y\\x)."""
     return _exchange(facets, quasi=True)
-
-
-def unique_maximum(elements: Iterable, kind: OrderKind):
-    """The greatest element of the set if one exists, else None."""
-    elems = sorted(set(elements), key=canonical_key)
-    if not elems:
-        raise ValueError("empty set has no maximum")
-    _check_operands(elems, kind)
-    best = _greatest(list(map(_dominance_key(kind), elems)))
-    return None if best is None else elems[best]
 
 
 def is_coxeter_matroid(elements: Iterable) -> bool:

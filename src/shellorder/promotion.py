@@ -50,19 +50,6 @@ def promotion_permutation(graph: LabeledGraph) -> PositionPermutation:
     return tuple(image)
 
 
-def apply_positions(sigma: PositionPermutation, seq: FacetSequence) -> FacetSequence:
-    """Rearrange so the item at position p was at position sigma^{-1}(p)."""
-    h = len(seq)
-    if len(sigma) != h:
-        raise ValueError(f"permutation length {len(sigma)} != sequence length {h}")
-    if sorted(sigma) != list(range(1, h + 1)):
-        raise ValueError(f"{sigma} is not a bijection of [{h}]")
-    out: list = [None] * h
-    for i, item in enumerate(seq.items):
-        out[sigma[i] - 1] = item
-    return FacetSequence(tuple(out))
-
-
 def graph_of(seq: FacetSequence, kind: GraphKind) -> LabeledGraph:
     """The dual graph, or the Hasse diagram of the order that the facet
     alphabet carries (``_order_of``), induced on the support with

@@ -1,5 +1,5 @@
-"""Barycentric subdivision as a coset union, flag complexes, flag
-shellability, and the face-poset cross-check.
+"""Barycentric subdivision as a coset union, flag complexes, and flag
+shellability.
 
 A family of sorted k-subsets subdivides into the injective tuples obtained
 by permuting each facet's members.  The flag complex of a tuple family has
@@ -61,50 +61,3 @@ def is_flag_shellable(elements: Iterable[FlagTuple]) -> bool:
     if not elems:
         raise ValueError("empty set cannot be tested for flag shellability")
     return find_shelling_order(flag_complex(elems)) is not None
-
-
-def face_poset_order_complex(complex_: PureComplex) -> PureComplex:
-    """Order complex of the face poset, built by walking maximal chains.
-
-    Enumerates the nonempty faces explicitly and extends chains one vertex
-    at a time; independent of the coset construction, and must agree with
-    ``flag_complex(barycentric(complex_))``.
-    """
-    facets = list(complex_)
-    if not facets:
-        return PureComplex.of(())
-    if not isinstance(facets[0], KSubset):
-        raise TypeError("face posets are built over KSubset facets")
-    n = facets[0].n
-    faces: set[int] = set()
-    for facet in facets:
-        members = facet.members
-        for size in range(1, len(members) + 1):
-            for combo in itertools.combinations(members, size):
-                m = 0
-                for v in combo:
-                    m |= 1 << (v - 1)
-                faces.add(m)
-
-    chains: list[tuple[int, ...]] = []
-
-    def extend(chain: tuple[int, ...], top: int) -> None:
-        ups = [
-            top | 1 << b
-            for b in range(n)
-            if not top >> b & 1 and top | 1 << b in faces
-        ]
-        if not ups:
-            chains.append(chain)
-            return
-        for up in ups:
-            extend(chain + (up,), up)
-
-    for m in faces:
-        if m.bit_count() == 1:
-            extend((m,), m)
-
-    return PureComplex.of(
-        FlagVertexFacet(frozenset(KSubset.from_mask(n, m) for m in chain))
-        for chain in chains
-    )

@@ -316,7 +316,10 @@ def conf_ideals_flagshell(n: int, k: int, jobs: int = 1) -> RunReport:
 
 @functools.lru_cache(maxsize=8)
 def exhaustive_corpus(n: int, k: int, max_facets: int) -> tuple[FacetSequence, ...]:
-    """All shelling orders of all complexes with at most max_facets facets."""
+    """All shelling orders of all complexes with at most max_facets facets,
+    guarded before anything is listed."""
+    _guard_exhaustive(n)
+    _guard_exhaustive_corpus(n, k, max_facets)
     facets = list(all_ksubsets(n, k))
     out: list[FacetSequence] = []
     for size in range(1, max_facets + 1):
@@ -412,11 +415,13 @@ def _corpus(
     n: int, k: int, max_facets: int, samples: int, seed: int
 ) -> tuple[FacetSequence, ...]:
     """The seeded corpus when ``samples`` is positive, else the exhaustive
-    one, both guarded."""
+    one; each guards its own shape."""
+    if max_facets < 1:
+        raise ValueError(f"--max-facets must be at least 1, got {max_facets}")
+    if samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {samples}")
     if samples > 0:
         return random_corpus(n, k, samples, seed, max_facets)
-    _guard_exhaustive(n)
-    _guard_exhaustive_corpus(n, k, max_facets)
     return exhaustive_corpus(n, k, max_facets)
 
 
@@ -449,39 +454,22 @@ def sweep_shelling_corpus(
     """Run the named checks over every shelling order in the corpus.
 
     ``samples == 0`` sweeps the exhaustive corpus; a positive value runs
-    the seeded random corpus instead.  Either way the chunks check corpus
+    the seeded random corpus instead; a negative one, or ``max_facets``
+    below 1, is a ``ValueError``.  Either way the chunks check corpus
     indices, and each worker builds (or inherits) the same corpus."""
     shape = (n, k, max_facets, samples, seed, check_names)
     return _sweep(suite, _corpus_indices, _corpus_setup, shape, jobs)
 
 
-def promotion_shell(
-    n: int, k: int, max_facets: int = 5, samples: int = 0, seed: int = 0, jobs: int = 1
-) -> RunReport:
-    """Promotion of every shelling order must be a shelling order."""
-    return sweep_shelling_corpus(
-        "promotion-shell", ("promotion",), n, k, max_facets, samples, seed, jobs
-    )
-
-
-def evacuation_shell(
-    n: int, k: int, max_facets: int = 5, samples: int = 0, seed: int = 0, jobs: int = 1
-) -> RunReport:
-    """Evacuation of every shelling order must be a shelling order, and
-    applying it twice must give the order back."""
-    return sweep_shelling_corpus(
-        "evacuation-shell", ("evacuation", "involution"),
-        n, k, max_facets, samples, seed, jobs,
-    )
-
-
-def eq2_oracle(
-    n: int, k: int, max_facets: int = 5, samples: int = 0, seed: int = 0, jobs: int = 1
-) -> RunReport:
-    """Promotion must factor into the chain of elementary moves."""
-    return sweep_shelling_corpus(
-        "eq2-oracle", ("eq2",), n, k, max_facets, samples, seed, jobs
-    )
+# The checks each corpus suite runs on every order of its corpus:
+# promotion and evacuation must give shelling orders, evacuation applied
+# twice must give the order back, and promotion must factor into the
+# chain of elementary moves.
+CORPUS_SUITES = {
+    "promotion-shell": ("promotion",),
+    "evacuation-shell": ("evacuation", "involution"),
+    "eq2-oracle": ("eq2",),
+}
 
 
 # --- hasse-vs-dual ----------------------------------------------------------
@@ -601,9 +589,10 @@ SUITES = {
     "extensions-shell": extensions_shell,
     "barycentric-coxeter": barycentric_coxeter,
     "conf-ideals-flagshell": conf_ideals_flagshell,
-    "promotion-shell": promotion_shell,
-    "evacuation-shell": evacuation_shell,
     "hasse-vs-dual": hasse_vs_dual,
-    "eq2-oracle": eq2_oracle,
     "remark-bruhat-graph": remark_bruhat_graph,
+    **{
+        name: functools.partial(sweep_shelling_corpus, name, checks)
+        for name, checks in CORPUS_SUITES.items()
+    },
 }

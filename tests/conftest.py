@@ -1,8 +1,9 @@
+import itertools
 from random import Random
 
 import pytest
 
-from shellorder import FacetSequence, KSubset
+from shellorder import FacetSequence, FlagVertexFacet, KSubset, PureComplex
 from shellorder.shelling import _append_ok
 
 
@@ -32,3 +33,63 @@ def grow_shelling_order(seed: int, n: int, k: int, h: int) -> FacetSequence:
         if cand not in masks and _append_ok(masks, cand, k):
             masks.append(cand)
     raise ValueError(f"growth stalled at {len(masks)} of {h} facets")
+
+
+def apply_positions(sigma: tuple, seq: FacetSequence) -> FacetSequence:
+    """Rearrange so the item at position p was at position sigma^{-1}(p)."""
+    h = len(seq)
+    if len(sigma) != h:
+        raise ValueError(f"permutation length {len(sigma)} != sequence length {h}")
+    if sorted(sigma) != list(range(1, h + 1)):
+        raise ValueError(f"{sigma} is not a bijection of [{h}]")
+    out: list = [None] * h
+    for i, item in enumerate(seq.items):
+        out[sigma[i] - 1] = item
+    return FacetSequence(tuple(out))
+
+
+def face_poset_order_complex(complex_: PureComplex) -> PureComplex:
+    """Order complex of the face poset, built by walking maximal chains.
+
+    Enumerates the nonempty faces explicitly and extends chains one vertex
+    at a time; independent of the coset construction, and must agree with
+    ``flag_complex(barycentric(complex_))``.
+    """
+    facets = list(complex_)
+    if not facets:
+        return PureComplex.of(())
+    if not isinstance(facets[0], KSubset):
+        raise TypeError("face posets are built over KSubset facets")
+    n = facets[0].n
+    faces: set[int] = set()
+    for facet in facets:
+        members = facet.members
+        for size in range(1, len(members) + 1):
+            for combo in itertools.combinations(members, size):
+                m = 0
+                for v in combo:
+                    m |= 1 << (v - 1)
+                faces.add(m)
+
+    chains: list[tuple[int, ...]] = []
+
+    def extend(chain: tuple[int, ...], top: int) -> None:
+        ups = [
+            top | 1 << b
+            for b in range(n)
+            if not top >> b & 1 and top | 1 << b in faces
+        ]
+        if not ups:
+            chains.append(chain)
+            return
+        for up in ups:
+            extend(chain + (up,), up)
+
+    for m in faces:
+        if m.bit_count() == 1:
+            extend((m,), m)
+
+    return PureComplex.of(
+        FlagVertexFacet(frozenset(KSubset.from_mask(n, m) for m in chain))
+        for chain in chains
+    )

@@ -566,6 +566,37 @@ class TestVerifyCommand:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_facets": 0}, "--max-facets must be at least 1, got 0"),
+            ({"samples": 3, "max_facets": 0}, "--max-facets must be at least 1, got 0"),
+            ({"samples": -1}, "--samples must be at least 0, got -1"),
+        ],
+        ids=["max-facets", "seeded-max-facets", "samples"],
+    )
+    def test_bad_corpus_arguments_rejected_by_the_library(self, kwargs, message):
+        # the suites check what the command line passes them, so a library
+        # caller gets the same error and a negative sample count never
+        # falls back to the exhaustive corpus
+        for suite in ("promotion-shell", "evacuation-shell", "eq2-oracle"):
+            with pytest.raises(ValueError) as info:
+                suites.SUITES[suite](4, 2, **kwargs)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "n, k, max_facets, message",
+        [
+            (7, 2, 3, "exhaustive sweeps are guarded at n <= 6"),
+            (3, 5, 5, "exhaustive corpora need 1 <= sum over s <= max_facets"),
+        ],
+        ids=["n-bound", "empty-universe"],
+    )
+    def test_exhaustive_corpus_guards_itself(self, n, k, max_facets, message):
+        # the public corpus builder has the bounds of the suites that use it
+        with pytest.raises(ValueError, match=message):
+            suites.exhaustive_corpus(n, k, max_facets)
+
     def test_exhaustive_corpus_bound_admits_the_largest_measured_shape(self):
         # (6, 2) at 5 facets (bound 396,075) builds in about 2 s; running
         # it here would take half a minute, so only the guard is asked

@@ -2,7 +2,6 @@ import dataclasses
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
 
 from shellorder import (
     FacetSequence,
@@ -11,8 +10,6 @@ from shellorder import (
     KSubset,
     LabeledGraph,
     PureComplex,
-    sort_to_ksubset,
-    symmetric_difference_update,
 )
 from shellorder.core import UniverseTooLargeError
 
@@ -72,12 +69,6 @@ class TestFlagTuple:
 
 
 class TestFlagVertexFacet:
-    def test_recovers_tuple(self):
-        f = FlagVertexFacet(
-            frozenset({KSubset(4, (1,)), KSubset(4, (1, 4)), KSubset(4, (1, 2, 4))})
-        )
-        assert f.to_flag_tuple() == FlagTuple(4, (1, 4, 2))
-
     def test_not_nested_rejected(self):
         with pytest.raises(ValueError):
             FlagVertexFacet(frozenset({KSubset(4, (1,)), KSubset(4, (2, 3))}))
@@ -223,55 +214,3 @@ class TestLabeledGraphOfRows:
         back = pickle.loads(pickle.dumps(g))
         assert back.rows == g.rows and back == g and hash(back) == hash(g)
         assert back.edges == frozenset({(1, 2), (2, 3)})
-
-
-def test_sort_to_ksubset_full_permutation():
-    x = FlagTuple(7, (4, 3, 1, 7, 6, 2, 5))
-    assert sort_to_ksubset(x).members == (1, 2, 3, 4, 5, 6, 7)
-
-
-def test_sort_to_ksubset_already_sorted():
-    assert sort_to_ksubset(FlagTuple(4, (1, 3))).members == (1, 3)
-
-
-def test_sort_to_ksubset_unsorted():
-    assert sort_to_ksubset(FlagTuple(4, (1, 4, 2))).members == (1, 2, 4)
-
-
-@given(st.data())
-def test_sort_to_ksubset_preserves_members(data):
-    n = data.draw(st.integers(2, 8))
-    k = data.draw(st.integers(1, n))
-    entries = data.draw(
-        st.permutations(range(1, n + 1)).map(lambda p: tuple(p[:k]))
-    )
-    x = FlagTuple(n, entries)
-    assert sorted(entries) == list(sort_to_ksubset(x).members)
-
-
-def test_symmetric_difference_update_examples():
-    x = KSubset(4, (1, 3))
-    assert symmetric_difference_update(x, 3, 2).members == (1, 2)
-    assert symmetric_difference_update(x, 1, 4).members == (3, 4)
-
-
-def test_symmetric_difference_update_rejects_clashes():
-    x = KSubset(4, (2, 4))
-    with pytest.raises(ValueError):
-        symmetric_difference_update(x, 2, 2)
-    with pytest.raises(ValueError):
-        symmetric_difference_update(x, 1, 3)
-    with pytest.raises(ValueError):
-        symmetric_difference_update(x, 2, 5)
-
-
-@given(st.data())
-def test_symmetric_difference_update_preserves_shape(data):
-    n = data.draw(st.integers(2, 9))
-    members = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))
-    x = KSubset(n, tuple(members))
-    drop = data.draw(st.sampled_from(sorted(members)))
-    add = data.draw(st.sampled_from(sorted(set(range(1, n + 1)) - members)))
-    y = symmetric_difference_update(x, drop, add)
-    assert y.n == x.n and len(y) == len(x)
-    assert set(y.members) == (members - {drop}) | {add}

@@ -8,15 +8,12 @@ from shellorder import (
     KSubset,
     all_flag_tuples,
     all_ksubsets,
-    all_permutations,
     canonical_completion,
     has_quasi_exchange,
     is_coxeter_matroid,
     is_matroid,
     shift,
-    symmetric_difference_update,
     underlying_flag_matroid,
-    unique_maximum,
 )
 from shellorder.bruhat import OrderKind, leq
 
@@ -44,7 +41,7 @@ class TestExchange:
         verdict = is_matroid({ks(4, "13"), ks(4, "24")})
         w = verdict.witness
         swaps = {
-            symmetric_difference_update(w.first, w.element, b)
+            KSubset(4, tuple(m for m in w.first.members if m != w.element) + (b,))
             for b in w.second.members
             if b not in w.first
         }
@@ -70,21 +67,6 @@ class TestQuasiExchange:
 
     def test_singleton(self):
         assert has_quasi_exchange({ks(4, "13")}).holds
-
-
-class TestUniqueMaximum:
-    def test_interval_maximum(self):
-        assert unique_maximum(INTERVAL_12_24, OrderKind.GALE) == ks(4, "24")
-
-    def test_singleton(self):
-        assert unique_maximum({ks(4, "23")}, OrderKind.GALE) == ks(4, "23")
-
-    def test_incomparable_pair(self):
-        assert unique_maximum({ks(4, "23"), ks(4, "14")}, OrderKind.GALE) is None
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            unique_maximum(set(), OrderKind.GALE)
 
 
 class TestCoxeterMatroid:
@@ -130,7 +112,7 @@ class TestCoxeterMatroid:
         # well have a least element and no greatest one
         def coxeter_via_min(Y):
             n = next(iter(Y)).n
-            for w in all_permutations(n):
+            for w in all_flag_tuples(n, n):
                 images = [FlagTuple(n, tuple(w(v) for v in y.entries)) for y in Y]
                 if not any(
                     all(leq(cand, img, OrderKind.CONF) for img in images)
@@ -215,7 +197,7 @@ class TestUnderlyingFlagMatroid:
 
     def test_whole_quotient_gives_all_permutations(self):
         got = underlying_flag_matroid(set(all_ksubsets(4, 2)))
-        assert got == set(all_permutations(4))
+        assert got == set(all_flag_tuples(4, 4))
 
     def test_cosets_disjoint_with_expected_size(self):
         for n, k in [(4, 2), (5, 3)]:

@@ -9,7 +9,6 @@ from shellorder import (
     KSubset,
     LabeledGraph,
     all_ksubsets,
-    apply_positions,
     dual_graph,
     elementary_move,
     evacuate,
@@ -26,7 +25,7 @@ from shellorder.core import FlagVertexFacet
 from shellorder.promotion import GraphKind
 from shellorder.suites import random_corpus
 
-from conftest import make_ksubset as ks
+from conftest import apply_positions, make_ksubset as ks
 
 
 def seq(n, *digit_groups):

@@ -18,7 +18,6 @@ from shellorder import (
     are_isomorphic,
     dual_graph,
     find_shelling_order,
-    identity_permutation,
     is_shelling_order,
     linear_extensions,
     relabel,
@@ -227,7 +226,7 @@ class TestDualGraph:
 class TestRelabel:
     def test_identity(self):
         C = seq(4, "12", "13")
-        assert relabel(identity_permutation(4), C) == C
+        assert relabel(FlagTuple(4, (1, 2, 3, 4)), C) == C
 
     def test_swap(self):
         sigma = FlagTuple(4, (2, 1, 3, 4))

@@ -12,7 +12,6 @@ from shellorder import (
     all_ksubsets,
     barycentric,
     conf_leq,
-    face_poset_order_complex,
     flag_complex,
     flag_facet,
     gale_leq,
@@ -22,7 +21,7 @@ from shellorder import (
 )
 from shellorder.bruhat import OrderKind, linear_extensions
 
-from conftest import make_ksubset as ks
+from conftest import face_poset_order_complex, make_ksubset as ks
 
 
 def ft(n, digits):
