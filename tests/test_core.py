@@ -2,6 +2,7 @@ import dataclasses
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from shellorder import (
     FacetSequence,
@@ -44,6 +45,30 @@ class TestKSubset:
         x = KSubset(5, (2, 4))
         assert list(x) == [2, 4] and 2 in x and 3 not in x
 
+    @pytest.mark.parametrize(
+        "n, entries, members",
+        [
+            (7, (4, 3, 1, 7, 6, 2, 5), (1, 2, 3, 4, 5, 6, 7)),
+            (4, (1, 3), (1, 3)),
+            (4, (1, 4, 2), (1, 2, 4)),
+        ],
+        ids=["full_permutation", "already_sorted", "unsorted"],
+    )
+    def test_forgets_the_order_of_a_tuple(self, n, entries, members):
+        x = FlagTuple(n, entries)
+        assert KSubset(x.n, x.entries).members == members
+
+    @given(st.data())
+    def test_tuple_entries_keep_their_members(self, data):
+        n = data.draw(st.integers(2, 8))
+        k = data.draw(st.integers(1, n))
+        entries = data.draw(
+            st.permutations(range(1, n + 1)).map(lambda p: tuple(p[:k]))
+        )
+        x = FlagTuple(n, entries)
+        y = KSubset(x.n, x.entries)
+        assert list(y.members) == sorted(entries) and len(y) == len(x)
+
 
 class TestFlagTuple:
     def test_order_is_kept(self):
@@ -69,6 +94,12 @@ class TestFlagTuple:
 
 
 class TestFlagVertexFacet:
+    def test_chain_lists_the_prefix_sets(self):
+        prefixes = (KSubset(4, (1,)), KSubset(4, (1, 4)), KSubset(4, (1, 2, 4)))
+        f = FlagVertexFacet(frozenset(prefixes))
+        assert f.chain() == prefixes
+        assert f.n == 4 and len(f) == 3
+
     def test_not_nested_rejected(self):
         with pytest.raises(ValueError):
             FlagVertexFacet(frozenset({KSubset(4, (1,)), KSubset(4, (2, 3))}))

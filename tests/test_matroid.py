@@ -15,7 +15,7 @@ from shellorder import (
     shift,
     underlying_flag_matroid,
 )
-from shellorder.bruhat import OrderKind, leq
+from shellorder.bruhat import OrderKind, _dominance_key, _greatest, leq
 
 from conftest import make_ksubset as ks
 
@@ -67,6 +67,29 @@ class TestQuasiExchange:
 
     def test_singleton(self):
         assert has_quasi_exchange({ks(4, "13")}).holds
+
+
+class TestGreatest:
+    """``bruhat._greatest`` over dominance keys, the unique-maximum test
+    that ``is_coxeter_matroid`` applies to every shifted image."""
+
+    @staticmethod
+    def greatest(elements, kind=OrderKind.GALE):
+        elems = sorted(elements, key=lambda x: x.members)
+        best = _greatest([_dominance_key(kind)(tuple(x)) for x in elems])
+        return None if best is None else elems[best]
+
+    def test_interval_maximum(self):
+        assert self.greatest(INTERVAL_12_24) == ks(4, "24")
+
+    def test_singleton(self):
+        assert self.greatest({ks(4, "23")}) == ks(4, "23")
+
+    def test_incomparable_pair(self):
+        assert self.greatest({ks(4, "23"), ks(4, "14")}) is None
+
+    def test_empty_set_has_none(self):
+        assert self.greatest(set()) is None
 
 
 class TestCoxeterMatroid:
