@@ -212,8 +212,11 @@ class FacetSequence:
     def _trusted(cls, items: tuple) -> "FacetSequence":
         """Wrap ``items`` without re-validating them.
 
-        Only for a rearrangement or prefix of the items of a sequence that
-        was already validated, which is again a valid sequence."""
+        Only for items already known to form a valid sequence: a
+        rearrangement or prefix of the items of a validated sequence, or
+        an order of distinct facets of one universe or complex that was
+        validated as a whole (the orders of ``shelling_orders``, the
+        seeded corpus, the extensions of a family)."""
         seq = object.__new__(cls)
         object.__setattr__(seq, "items", items)
         return seq

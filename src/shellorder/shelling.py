@@ -20,12 +20,17 @@ from .core import (
     LabeledGraph,
     PureComplex,
     _bits,
+    _check_homogeneous,
     canonical_key,
 )
 
 # Facet masks whose ridge lists are kept; a fixed bound, so a long run
 # of distinct facets does not grow the cache.
 _RIDGE_CACHE_SIZE = 4096
+
+# One facet's row of ``_append_tables``: a (ridge holders, vertex
+# holders) pair of index bits per vertex.
+_AppendRow = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True, init=False)
@@ -190,25 +195,50 @@ def _list_certificates(masks: list[int], k: int) -> tuple[tuple[int, int, int], 
     return tuple(certs)
 
 
-def _append_ok(placed: list[int], cand: int, k: int) -> bool:
-    # The restriction-face test of is_shelling_order, in one shot for one
-    # new facet: ridge_missed is its R_j, and every earlier facet must
-    # miss a vertex of cand in it.
-    if not placed:
-        return True
-    ridge_missed = 0
-    for m in placed:
-        inter = m & cand
-        if inter.bit_count() == k - 1:
-            ridge_missed |= cand & ~inter
-    for m in placed:
-        if not cand & ~m & ridge_missed:
-            return False
-    return True
+def _append_tables(masks: list[int]) -> list[_AppendRow]:
+    """The restriction-face table of every facet of a universe, the rows
+    that ``_append_ok`` reads: row t has one pair per vertex v of
+    ``masks[t]``, ascending, of the index bits of the facets holding the
+    ridge ``masks[t] - v`` and of the facets holding v.
+
+    Both masks include t itself, which is never placed when t is tested,
+    so the rows of the whole universe share one holder mask per ridge and
+    per vertex.  O(h·k) dictionary steps with the ``_ridges`` cache.
+    """
+    ridge_holders: dict[int, int] = {}
+    vertex_holders: dict[int, int] = {}
+    for t, mask in enumerate(masks):
+        bit = 1 << t
+        for ridge in _ridges(mask):
+            ridge_holders[ridge] = ridge_holders.get(ridge, 0) | bit
+            v = mask ^ ridge
+            vertex_holders[v] = vertex_holders.get(v, 0) | bit
+    return [
+        tuple((ridge_holders[ridge], vertex_holders[mask ^ ridge]) for ridge in _ridges(mask))
+        for mask in masks
+    ]
+
+
+def _append_ok(used: int, row: _AppendRow) -> bool:
+    """Whether the facet with table row ``row`` (``_append_tables``) glues
+    onto the placed facets, the index bits of ``used``, which must not
+    hold its own index.
+
+    The restriction-face test of ``is_shelling_order`` for one new facet
+    F_j: a vertex v is in R_j iff some placed facet holds the ridge
+    F_j - v, and the placed facets containing R_j are ``used`` ANDed with
+    the holders of each v in R_j.  F_j glues iff there are none: k steps,
+    however many facets are placed.
+    """
+    meet = used
+    for ridge_holders, column in row:
+        if ridge_holders & used:
+            meet &= column
+    return not meet
 
 
 def _walk_orders(
-    below: list[int], masks: Optional[list[int]] = None, k: int = 0
+    below: list[int], tables: Optional[list[_AppendRow]] = None
 ) -> Iterator[list[int]]:
     """Depth-first walk over the orders of indices 0..h-1 that place every
     index after all of its below-mask, candidates tried in ascending index.
@@ -216,16 +246,15 @@ def _walk_orders(
     resuming.  The stack is explicit, so h is not bounded by the
     recursion limit.
 
-    With facet masks, a candidate must also pass ``_append_ok`` against
-    the facets already placed.  That test depends only on the set
-    already placed, so whether a prefix completes depends only on its
-    set: the walk remembers each set whose subtree gave no full order
-    and never enters it again, so it visits at most 2^h dead sets.
-    Without masks every placed set completes.
+    With the tables of ``_append_tables``, a candidate must also pass
+    ``_append_ok`` against the facets already placed.  That test depends
+    only on the set already placed, so whether a prefix completes depends
+    only on its set: the walk remembers each set whose subtree gave no
+    full order and never enters it again, so it visits at most 2^h dead
+    sets.  Without tables every placed set completes.
     """
     h = len(below)
     order: list[int] = []
-    placed: list[int] = []
     found: list[int] = []  # full orders yielded when each placed index went in
     dead: set[int] = set()
     complete = used = t = 0
@@ -236,7 +265,7 @@ def _walk_orders(
                 not used & bit
                 and not below[t] & ~used
                 and used | bit not in dead
-                and (masks is None or _append_ok(placed, masks[t], k))
+                and (tables is None or _append_ok(used, tables[t]))
             ):
                 break
             t += 1
@@ -247,14 +276,10 @@ def _walk_orders(
                 dead.add(used)
             t = order.pop()
             used ^= 1 << t
-            if masks is not None:
-                placed.pop()
             t += 1
             continue
         order.append(t)
         used |= bit
-        if masks is not None:
-            placed.append(masks[t])
         found.append(complete)
         if len(order) < h:
             t = 0
@@ -265,14 +290,14 @@ def _walk_orders(
 
 
 def _tally_orders(
-    below: list[int], masks: list[int], k: int, full: int
+    below: list[int], tables: list[_AppendRow], full: int
 ) -> tuple[int, int, Optional[list[int]]]:
     """``(checks, rejections, first rejected prefix or None)`` of the
     orders of the indices in the mask ``full`` (rows of a larger universe
-    are read on ``full`` only) with ``_append_ok`` on ``masks`` checked
-    at every append, without listing the orders: one check per full
-    order and one per rejected prefix (ending in the rejected candidate,
-    whose branch is pruned).
+    are read on ``full`` only) with ``_append_ok`` on the universe's
+    ``tables`` checked at every append, without listing the orders: one
+    check per full order and one per rejected prefix (ending in the
+    rejected candidate, whose branch is pruned).
 
     The walk below a prefix depends only on its set U, an order ideal, so
     a DP over the ideals reached from the empty set gives every count:
@@ -294,10 +319,9 @@ def _tally_orders(
             stack.pop()
             continue
         if used not in moves:
-            placed = [masks[t] for t in _bits(used)]
             rest = full ^ used
             moves[used] = step = [
-                (t, _append_ok(placed, masks[t], k))
+                (t, _append_ok(used, tables[t]))
                 for t in members
                 if rest >> t & 1 and not below[t] & rest
             ]
@@ -332,14 +356,20 @@ def shelling_orders(complex_: PureComplex) -> Iterator[FacetSequence]:
 
     Prefix pruning is sound: a prefix of a shelling order is a shelling
     order of its support, since the condition at j only mentions z < j.
+
+    The facets are checked once, as ``FacetSequence`` checks a sequence
+    (one alphabet, universe and size), and each order is wrapped without
+    a second check.  A repeated facet is never appended after itself, so
+    a facet list with a repeat has no orders.
     """
     facets = sorted(complex_, key=canonical_key)
     if not facets:
         raise ValueError("empty complex has no facet orders")
-    masks, k = facet_masks(tuple(facets))
+    masks, _ = facet_masks(tuple(facets))
+    _check_homogeneous(facets, "sequence")
     return (
-        FacetSequence(tuple(facets[t] for t in order))
-        for order in _walk_orders([0] * len(facets), masks, k)
+        FacetSequence._trusted(tuple(facets[t] for t in order))
+        for order in _walk_orders([0] * len(facets), _append_tables(masks))
     )
 
 

@@ -4,7 +4,6 @@ from random import Random
 import pytest
 
 from shellorder import FacetSequence, FlagVertexFacet, KSubset, PureComplex
-from shellorder.shelling import _append_ok
 
 
 def make_ksubset(n: int, digits: str) -> KSubset:
@@ -16,6 +15,22 @@ def bjorner() -> FacetSequence:
     """Björner's 11-facet shellable complex, in its standard shelling order."""
     facets = "123 125 126 234 235 134 136 145 246 356 456".split()
     return FacetSequence(tuple(make_ksubset(6, d) for d in facets))
+
+
+def reference_append_ok(placed, cand, k):
+    """The ridge-list form of the append test: the ridges of ``cand``
+    shared with placed facets, and every placed facet's overlap with
+    ``cand`` must lie in one of them."""
+    if not placed:
+        return True
+    ridges = [m & cand for m in placed if (m & cand).bit_count() == k - 1]
+    if not ridges:
+        return False
+    for m in placed:
+        need = m & cand
+        if not any(need & ~r == 0 for r in ridges):
+            return False
+    return True
 
 
 def grow_shelling_order(seed: int, n: int, k: int, h: int) -> FacetSequence:
@@ -30,7 +45,7 @@ def grow_shelling_order(seed: int, n: int, k: int, h: int) -> FacetSequence:
         inside = [v for v in range(n) if base >> v & 1]
         outside = [v for v in range(n) if not base >> v & 1]
         cand = base ^ 1 << rng.choice(inside) ^ 1 << rng.choice(outside)
-        if cand not in masks and _append_ok(masks, cand, k):
+        if cand not in masks and reference_append_ok(masks, cand, k):
             masks.append(cand)
     raise ValueError(f"growth stalled at {len(masks)} of {h} facets")
 

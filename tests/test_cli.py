@@ -585,6 +585,21 @@ class TestVerifyCommand:
             assert str(info.value) == message
 
     @pytest.mark.parametrize(
+        "samples, h_max, message",
+        [
+            (3, 0, "h_max must be at least 1, got 0"),
+            (-5, 3, "samples must be at least 1, got -5"),
+            (0, 3, "samples must be at least 1, got 0"),
+        ],
+        ids=["h-max", "negative-samples", "no-samples"],
+    )
+    def test_random_corpus_checks_its_arguments(self, samples, h_max, message):
+        # the public sampler, called without the suites' checks
+        with pytest.raises(ValueError) as info:
+            suites.random_corpus(4, 2, samples, 0, h_max)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "n, k, max_facets, message",
         [
             (7, 2, 3, "exhaustive sweeps are guarded at n <= 6"),
@@ -598,7 +613,7 @@ class TestVerifyCommand:
             suites.exhaustive_corpus(n, k, max_facets)
 
     def test_exhaustive_corpus_bound_admits_the_largest_measured_shape(self):
-        # (6, 2) at 5 facets (bound 396,075) builds in about 2 s; running
+        # (6, 2) at 5 facets (bound 396,075) builds in about 1 s; running
         # it here would take half a minute, so only the guard is asked
         suites._guard_exhaustive_corpus(6, 2, 5)
         suites._guard_exhaustive_corpus(5, 3, 6)

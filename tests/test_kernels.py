@@ -3,8 +3,10 @@ Bruhat-order kernels against reference copies.
 
 The references are the straightforward forms the kernels replaced: the
 pair-by-pair ridge scan for ``is_shelling_order``, the ridge-list test
-for ``_append_ok``, the pair scan for the ridge-incidence ``dual_graph``
-and the graph built from its edges for the rows-built one (and promotion
+for ``_append_ok`` (and, for the corpora built with it, the growth
+sampler on facets and every permutation of each facet combination
+filtered by the pair scan), the pair scan for the ridge-incidence
+``dual_graph`` and the graph built from its edges for the rows-built one (and promotion
 through the pair-scan graph for ``promote``, ``evacuate`` and
 ``promote_via_moves``), edge-set scans for ``LabeledGraph`` lookups
 and ``track``, one recursion per enumerator for the iterative order
@@ -67,11 +69,23 @@ from shellorder import bruhat, promotion, shelling, suites
 from shellorder.bruhat import leq, strictly_below_masks
 from shellorder.core import _bits, canonical_key
 from shellorder.matroid import ExchangeWitness, MatroidVerdict
-from shellorder.shelling import _append_ok, _tally_orders, _walk_orders, facet_masks
+from shellorder.shelling import (
+    _append_ok,
+    _append_tables,
+    _tally_orders,
+    _walk_orders,
+    facet_masks,
+)
 from shellorder.subdivision import flag_facet
-from shellorder.suites import _fmt_seq, _tally, check_appending_swap, random_corpus
+from shellorder.suites import (
+    _fmt_seq,
+    _tally,
+    check_appending_swap,
+    exhaustive_corpus,
+    random_corpus,
+)
 
-from conftest import apply_positions, grow_shelling_order
+from conftest import apply_positions, grow_shelling_order, reference_append_ok
 
 
 def reference_is_shelling_order(seq):
@@ -91,19 +105,6 @@ def reference_is_shelling_order(seq):
             else:
                 return False, tuple(certs), (i + 1, j + 1)
     return True, tuple(certs), None
-
-
-def reference_append_ok(placed, cand, k):
-    if not placed:
-        return True
-    ridges = [m & cand for m in placed if (m & cand).bit_count() == k - 1]
-    if not ridges:
-        return False
-    for m in placed:
-        need = m & cand
-        if not any(need & ~r == 0 for r in ridges):
-            return False
-    return True
 
 
 def reference_neighbors(edges, v):
@@ -172,14 +173,38 @@ def flag_sequences(draw, max_size=10):
 any_sequences = st.one_of(ksubset_sequences(), grown_sequences(), flag_sequences())
 
 
+def assert_append_ok_matches_ridge_list(masks, k, used):
+    tables = _append_tables(masks)
+    placed = [masks[i] for i in _bits(used)]
+    for t in range(len(masks)):
+        if not used >> t & 1:
+            assert _append_ok(used, tables[t]) == reference_append_ok(placed, masks[t], k)
+
+
 @settings(max_examples=300, deadline=None)
-@given(any_sequences)
-def test_append_ok_matches_ridge_list(seq):
+@given(any_sequences, st.data())
+def test_append_ok_matches_ridge_list(seq, data):
+    # any placed set, the empty one included, and every unplaced candidate
     masks, k = facet_masks(seq.items)
-    for r in range(len(masks)):
-        placed = masks[:r]
-        for cand in masks[r:]:
-            assert _append_ok(placed, cand, k) == reference_append_ok(placed, cand, k)
+    used = data.draw(st.integers(0, (1 << len(masks)) - 1))
+    assert_append_ok_matches_ridge_list(masks, k, used)
+
+
+@pytest.mark.parametrize("universe", ["bjorner", "flags", "points"])
+def test_append_ok_on_every_placed_set(universe, bjorner):
+    # every placed set of an 11-facet universe, of a flag-facet one and
+    # of k = 1 (points share the empty ridge, so every new point glues),
+    # the empty set first, which accepts every candidate
+    items = {
+        "bjorner": bjorner.items,
+        "flags": tuple(flag_facet(y) for y in all_flag_tuples(3, 2)),
+        "points": tuple(all_ksubsets(7, 1)),
+    }[universe]
+    masks, k = facet_masks(items)
+    tables = _append_tables(masks)
+    assert all(_append_ok(0, row) for row in tables)
+    for used in range(1 << len(masks)):
+        assert_append_ok_matches_ridge_list(masks, k, used)
 
 
 @settings(max_examples=200, deadline=None)
@@ -395,7 +420,7 @@ def reference_shelling_orders(complex_):
         for t in range(h):
             if used >> t & 1:
                 continue
-            if _append_ok(placed, masks[t], k):
+            if reference_append_ok(placed, masks[t], k):
                 order.append(t)
                 placed.append(masks[t])
                 yield from rec(used | 1 << t)
@@ -415,7 +440,7 @@ def reference_find_shelling_order(complex_):
         if len(order) == h:
             return True
         for t in [t for t in range(h) if not used >> t & 1]:
-            if _append_ok(placed, masks[t], k):
+            if reference_append_ok(placed, masks[t], k):
                 order.append(t)
                 placed.append(masks[t])
                 if rec(used | 1 << t):
@@ -429,27 +454,28 @@ def reference_find_shelling_order(complex_):
     return None
 
 
-def reference_walk_extensions_checking(below, fmasks, k, describe):
-    h = len(below)
+def reference_walk_extensions_checking(below, accept, full, describe):
+    """(checks, rejections, describe(first rejected prefix)) of the orders
+    of the indices of ``full``, with ``accept(used, t)`` at every append:
+    the extension walk that ``_tally_orders`` replaced."""
+    members = list(_bits(full))
     checks = failures = 0
     first = None
-    prefix, placed = [], []
+    prefix = []
 
     def rec(used):
         nonlocal checks, failures, first
-        if len(prefix) == h:
+        if len(prefix) == len(members):
             checks += 1
             return
-        for t in range(h):
+        for t in members:
             bit = 1 << t
-            if used & bit or below[t] & ~used:
+            if used & bit or below[t] & full & ~used:
                 continue
-            if shelling._append_ok(placed, fmasks[t], k):
+            if accept(used, t):
                 prefix.append(t)
-                placed.append(fmasks[t])
                 rec(used | bit)
                 prefix.pop()
-                placed.pop()
             else:
                 checks += 1
                 failures += 1
@@ -458,6 +484,13 @@ def reference_walk_extensions_checking(below, fmasks, k, describe):
 
     rec(0)
     return checks, failures, first
+
+
+def oracle_accept(masks, k):
+    """The ridge-list append test as an ``accept(used, t)`` rule."""
+    return lambda used, t: reference_append_ok(
+        [masks[i] for i in _bits(used)], masks[t], k
+    )
 
 
 def reference_walk(below, masks=None, k=0):
@@ -474,7 +507,7 @@ def reference_walk(below, masks=None, k=0):
             bit = 1 << t
             if used & bit or below[t] & ~used:
                 continue
-            if masks is None or _append_ok(placed, masks[t], k):
+            if masks is None or reference_append_ok(placed, masks[t], k):
                 prefix.append(t)
                 if masks is not None:
                     placed.append(masks[t])
@@ -518,7 +551,7 @@ def walks(draw):
 def test_walker_matches_recursion(walk):
     below, masks, k = walk
     assert [tuple(o) for o in _walk_orders(below)] == list(reference_walk(below))
-    got = [tuple(o) for o in _walk_orders(below, masks, k)]
+    got = [tuple(o) for o in _walk_orders(below, _append_tables(masks))]
     assert got == list(reference_walk(below, masks, k))
 
 
@@ -553,10 +586,11 @@ def test_linear_extensions_and_shelling_tallies_match_recursion(case):
     else:
         fmasks, k = facet_masks(tuple(flag_facet(y) for y in elems))
     below = strictly_below_masks(elems, kind)
-    checks, failures, first = _tally_orders(below, fmasks, k, (1 << len(elems)) - 1)
+    full = (1 << len(elems)) - 1
+    checks, failures, first = _tally_orders(below, _append_tables(fmasks), full)
     assert (
         checks, failures, None if first is None else tuple(first)
-    ) == reference_walk_extensions_checking(below, fmasks, k, tuple)
+    ) == reference_walk_extensions_checking(below, oracle_accept(fmasks, k), full, tuple)
 
 
 @settings(max_examples=300, deadline=None)
@@ -566,6 +600,55 @@ def test_shelling_search_matches_recursion(seq):
     complex_ = PureComplex.of(seq.items[:6])
     assert list(shelling_orders(complex_)) == list(reference_shelling_orders(complex_))
     assert find_shelling_order(complex_) == reference_find_shelling_order(complex_)
+
+
+def reference_random_corpus(n, k, samples, seed, h_max):
+    """The growth sampler on facets and the ridge-list test, with the
+    random calls of ``random_corpus`` on lists of the same lengths."""
+    rng = random.Random(seed)
+    facets = list(all_ksubsets(n, k))
+    out = []
+    while len(out) < samples:
+        target = rng.randint(1, h_max)
+        pool = list(facets)
+        rng.shuffle(pool)
+        chosen = [pool.pop()]
+        while len(chosen) < target:
+            placed = [f.mask for f in chosen]
+            fits = [f for f in pool if reference_append_ok(placed, f.mask, k)]
+            if not fits:
+                break
+            follower = rng.choice(fits)
+            pool.remove(follower)
+            chosen.append(follower)
+        out.append(FacetSequence(tuple(chosen)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "n, k, samples, seed, h_max",
+    [(8, 3, 150, 1, 12), (6, 3, 300, 13, 8), (5, 2, 300, 4, 6), (6, 1, 100, 2, 5)],
+)
+def test_random_corpus_matches_the_reference_sampler(n, k, samples, seed, h_max):
+    assert random_corpus(n, k, samples, seed, h_max) == reference_random_corpus(
+        n, k, samples, seed, h_max
+    )
+
+
+@pytest.mark.parametrize(
+    "n, k, max_facets", [(4, 1, 4), (4, 2, 4), (5, 2, 3), (4, 3, 4), (5, 3, 3)]
+)
+def test_exhaustive_corpus_matches_filtered_permutations(n, k, max_facets):
+    # permutations of a sorted combination come in the walker's order
+    want = []
+    facets = list(all_ksubsets(n, k))
+    for size in range(1, max_facets + 1):
+        for combo in itertools.combinations(facets, size):
+            for perm in itertools.permutations(combo):
+                seq = FacetSequence(perm)
+                if reference_is_shelling_order(seq)[0]:
+                    want.append(seq)
+    assert exhaustive_corpus(n, k, max_facets) == tuple(want)
 
 
 # --- the exchange routine against separate scans ---------------------------
@@ -942,23 +1025,19 @@ def test_appending_swap_builds_no_validated_sequence(monkeypatch):
 @given(walks())
 def test_ideal_dp_matches_recursion(walk):
     below, masks, k = walk
-    checks, failures, first = _tally_orders(below, masks, k, (1 << len(below)) - 1)
+    full = (1 << len(below)) - 1
+    checks, failures, first = _tally_orders(below, _append_tables(masks), full)
     assert (
         checks, failures, None if first is None else tuple(first)
-    ) == reference_walk_extensions_checking(below, masks, k, tuple)
+    ) == reference_walk_extensions_checking(below, oracle_accept(masks, k), full, tuple)
 
 
-def recursive_tally_orders(below, masks, k, full):
+def recursive_tally_orders(below, tables, full):
     """The extension walk that the ideal DP replaced, as a recursion over
-    the indices of ``full`` renumbered from 0; the first rejected prefix
-    is mapped back to universe indices."""
-    members = list(_bits(full))
-    local = {t: i for i, t in enumerate(members)}
+    the indices of ``full``, calling ``_append_ok`` through its module
+    binding so that it sees any patch of it."""
     return reference_walk_extensions_checking(
-        [sum(1 << local[s] for s in _bits(below[t] & full)) for t in members],
-        [masks[t] for t in members],
-        k,
-        lambda idx: [members[i] for i in idx],
+        below, lambda used, t: shelling._append_ok(used, tables[t]), full, list
     )
 
 
@@ -969,8 +1048,10 @@ def test_ideal_dp_on_a_subfamily_matches_the_renumbered_recursion(walk, data):
     # family's indices and the rows restricted to it may count
     below, masks, k = walk
     full = data.draw(st.integers(1, (1 << len(below)) - 1))
-    assert _tally_orders(below, masks, k, full) == recursive_tally_orders(
-        below, masks, k, full
+    tables = _append_tables(masks)
+    assert _tally_orders(below, tables, full) == recursive_tally_orders(below, tables, full)
+    assert _tally_orders(below, tables, full) == reference_walk_extensions_checking(
+        below, oracle_accept(masks, k), full, list
     )
 
 
@@ -1003,10 +1084,11 @@ def test_extension_sweeps_match_the_recursion_with_rejecting_appends(
 ):
     fork_pool(monkeypatch)
 
-    def rejecting(placed, cand, k):
-        # a function of the placed set, as the DP requires; rejects about
-        # a fifth of the appends the shelling condition accepts
-        return _append_ok(placed, cand, k) and (sum(placed) * 7 + cand + salt) % 5 != 0
+    def rejecting(used, row):
+        # a function of the placed set and the candidate's row, as the DP
+        # requires; rejects about a fifth of the appends the shelling
+        # condition accepts
+        return _append_ok(used, row) and (used * 7 + hash(row) + salt) % 5 != 0
 
     monkeypatch.setattr(shelling, "_append_ok", rejecting)
     got = _report(sweep(n, k, jobs=jobs))

@@ -192,6 +192,19 @@ class TestSearch:
             assert {s.items for s in shelling_orders(X)} == brute
 
 
+    def test_facets_are_checked_once_per_call(self):
+        # a facet list is not checked as a complex; the orders are wrapped
+        # unchecked, so the list itself must be checked like a sequence
+        facets = [KSubset(4, (1, 2)), KSubset(5, (1, 3))]
+        with pytest.raises(ValueError, match="sequence mixes universes or facet sizes"):
+            list(shelling_orders(facets))
+
+    def test_repeated_facet_gives_no_orders(self):
+        facets = [ks(4, "12"), ks(4, "12"), ks(4, "13")]
+        assert list(shelling_orders(facets)) == []
+        assert find_shelling_order(facets) is None
+
+
 class TestMoreFacetsThanRecursionLimit:
     # all 2-subsets of [46]: 1,035 facets, above the default recursion
     # limit of 1,000; lex order is both a Gale extension and a shelling
