@@ -39,8 +39,8 @@ _HEADER = re.compile(r"^n=(\d+)\s+mode=(sorted|tuple)$")
 
 
 def parse_input(text: str, as_sequence: bool = False) -> Union[PureComplex, FacetSequence]:
-    """Parse file content into a complex or an ordered facet sequence."""
-    header: tuple[int, str] | None = None
+    """Parse file content into a complex or a facet sequence, one check per line."""
+    n, make = 0, None  # the universe and facet type of the header
     facets: list = []
     seen = set()
     size: int | None = None
@@ -48,43 +48,43 @@ def parse_input(text: str, as_sequence: bool = False) -> Union[PureComplex, Face
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if header is None:
+        if make is None:
             match = _HEADER.match(line)
             if not match:
                 raise ValueError(
                     f"line {lineno}: expected header 'n=<int> mode=<sorted|tuple>'"
                 )
-            header = (int(match.group(1)), match.group(2))
+            n, make = int(match[1]), KSubset if match[2] == "sorted" else FlagTuple
             continue
         try:
-            values = tuple(int(tok) for tok in line.split())
+            values = tuple(map(int, line.split()))
         except ValueError:
             raise ValueError(f"line {lineno}: not a run of integers: {line!r}") from None
-        n, mode = header
         try:
-            facet = KSubset(n, values) if mode == "sorted" else FlagTuple(n, values)
+            facet = make(n, values)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         if size is None:
-            size = len(facet)
-        elif len(facet) != size:
-            raise ValueError(f"line {lineno}: facet size {len(facet)} != {size}")
-        if facet in seen:
+            size = len(values)
+        elif len(values) != size:
+            raise ValueError(f"line {lineno}: facet size {len(values)} != {size}")
+        key = facet.members if make is KSubset else values
+        if key in seen:
             raise ValueError(f"line {lineno}: duplicate facet")
-        seen.add(facet)
+        seen.add(key)
         facets.append(facet)
-    if header is None:
+    if make is None:
         raise ValueError("empty input: missing header")
     if not facets:
         raise ValueError("empty complex")
     if as_sequence:
-        return FacetSequence(tuple(facets))
-    return PureComplex.of(facets)
+        return FacetSequence._trusted(tuple(facets))
+    return PureComplex._trusted(frozenset(facets))
 
 
 def _facet_line(facet) -> str:
     values = facet.members if isinstance(facet, KSubset) else facet.entries
-    return " ".join(str(v) for v in values)
+    return " ".join(map(str, values))
 
 
 def serialize(value: Union[PureComplex, FacetSequence]) -> str:
@@ -147,7 +147,7 @@ def _cmd_check_flag_shelling(args) -> int:
 def _cmd_check_exchange(args) -> int:
     complex_ = load_input(args.file)
     check = is_matroid if args.command == "check-matroid" else has_quasi_exchange
-    verdict = check(complex_)
+    verdict = check(complex_.facets)
     if verdict.holds:
         return _verdict(True)
     w = verdict.witness
@@ -165,7 +165,7 @@ def _cmd_check_coxeter(args) -> int:
 
 def _cmd_check_order_ideal(args) -> int:
     complex_ = load_input(args.file)
-    return _verdict(is_order_ideal(complex_, _order_of(next(iter(complex_.facets)))))
+    return _verdict(is_order_ideal(complex_.facets, _order_of(next(iter(complex_.facets)))))
 
 
 def _cmd_check_linear_extension(args) -> int:

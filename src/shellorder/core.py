@@ -48,9 +48,9 @@ class KSubset:
     def __post_init__(self) -> None:
         _check_universe(self.n)
         members = tuple(sorted(self.members))
-        for a, b in zip(members, members[1:]):
-            if a == b:
-                raise ValueError(f"duplicate member {a}")
+        if len(set(members)) != len(members):
+            least = next(a for a, b in zip(members, members[1:]) if a == b)
+            raise ValueError(f"duplicate member {least}")
         if members and (members[0] < 1 or members[-1] > self.n):
             raise ValueError(f"members {members} not within [{self.n}]")
         object.__setattr__(self, "members", members)
@@ -183,6 +183,16 @@ class PureComplex:
     def of(cls, facets: Iterable[Facet]) -> "PureComplex":
         return cls(frozenset(facets))
 
+    @classmethod
+    def _trusted(cls, facets: frozenset) -> "PureComplex":
+        """Wrap ``facets`` without re-validating them.
+
+        Only for a frozenset of facets of one alphabet, universe and size,
+        checked as they were built (``cli.parse_input`` checks each line)."""
+        complex_ = object.__new__(cls)
+        object.__setattr__(complex_, "facets", facets)
+        return complex_
+
     def __len__(self) -> int:
         return len(self.facets)
 
@@ -216,7 +226,7 @@ class FacetSequence:
         rearrangement or prefix of the items of a validated sequence, or
         an order of distinct facets of one universe or complex that was
         validated as a whole (the orders of ``shelling_orders``, the
-        seeded corpus, the extensions of a family)."""
+        seeded corpus, family extensions, the lines ``cli.parse_input`` checked)."""
         seq = object.__new__(cls)
         object.__setattr__(seq, "items", items)
         return seq

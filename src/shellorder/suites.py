@@ -355,8 +355,11 @@ def random_corpus(
         rng.shuffle(pool)
         chosen = [pool.pop()]
         used = 1 << chosen[0]
+        near = 0  # ridge holders of the placed facets: no other facet can glue
         while len(chosen) < target:
-            candidates = [t for t in pool if _append_ok(used, tables[t])]
+            for ridge_holders, _ in tables[chosen[-1]]:
+                near |= ridge_holders
+            candidates = [t for t in pool if near >> t & 1 and _append_ok(used, tables[t])]
             if not candidates:
                 break
             follower = rng.choice(candidates)

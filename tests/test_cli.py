@@ -4,10 +4,12 @@ import time
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shellorder import (
     FacetSequence,
     FlagTuple,
+    KSubset,
     PureComplex,
     all_flag_tuples,
     all_ksubsets,
@@ -21,6 +23,71 @@ from conftest import grow_shelling_order, make_ksubset as ks
 BJORNER_TEXT = "n=6 mode=sorted\n" + "\n".join(
     " ".join(d) for d in "123 125 126 234 235 134 136 145 246 356 456".split()
 ) + "\n"
+
+
+# malformed files and the full message of each: the earliest bad line is
+# reported, and within a line the integers are read first, then the
+# facet is built, then its size and its novelty are checked
+PARSE_ERRORS = {
+    "non-integer-sorted": ("n=4 mode=sorted\n1 2\n1 x\n", "line 3: not a run of integers: '1 x'"),
+    "non-integer-tuple": ("n=4 mode=tuple\n1.0 2\n", "line 2: not a run of integers: '1.0 2'"),
+    "out-of-range-sorted": ("n=4 mode=sorted\n5 1\n", "line 2: members (1, 5) not within [4]"),
+    "out-of-range-tuple": ("n=4 mode=tuple\n5 1\n", "line 2: entries (5, 1) not within [4]"),
+    "below-range-sorted": ("n=4 mode=sorted\n2 0\n", "line 2: members (0, 2) not within [4]"),
+    "below-range-tuple": ("n=4 mode=tuple\n2 -1\n", "line 2: entries (2, -1) not within [4]"),
+    "repeated-member": ("n=4 mode=sorted\n4 2 4 2\n", "line 2: duplicate member 2"),
+    "repeated-member-out-of-range": ("n=4 mode=sorted\n9 9 0\n", "line 2: duplicate member 9"),
+    "repeated-entry": ("n=4 mode=tuple\n4 2 4\n", "line 2: entries (4, 2, 4) contain a repeat"),
+    "repeated-entry-out-of-range": (
+        "n=4 mode=tuple\n9 9\n",
+        "line 2: entries (9, 9) contain a repeat",
+    ),
+    "tuple-too-long": ("n=3 mode=tuple\n1 2 3 1\n", "line 2: tuple length 4 not within [1, 3]"),
+    "ragged-sorted": ("n=4 mode=sorted\n1 2\n3 4\n1 2 3\n", "line 4: facet size 3 != 2"),
+    "ragged-tuple": ("n=4 mode=tuple\n1 2 3\n2 1\n", "line 3: facet size 2 != 3"),
+    "reordered-set": ("n=4 mode=sorted\n1 2\n3 4\n2 1\n", "line 4: duplicate facet"),
+    "repeated-tuple": ("n=4 mode=tuple\n1 2\n2 1\n1 2\n", "line 4: duplicate facet"),
+    "universe-too-large": (
+        "n=65 mode=sorted\n1 2\n",
+        "line 2: universe size 65 exceeds the supported bound of 64",
+    ),
+    "universe-zero": (
+        "n=0 mode=tuple\n1\n",
+        "line 2: universe size must be a positive integer, got 0",
+    ),
+    "missing-header": (
+        "# no header\n\n1 2\n",
+        "line 3: expected header 'n=<int> mode=<sorted|tuple>'",
+    ),
+    "unknown-mode": (
+        "n=4 mode=list\n1 2\n",
+        "line 1: expected header 'n=<int> mode=<sorted|tuple>'",
+    ),
+    "header-only-sorted": ("n=4 mode=sorted\n# no facets\n", "empty complex"),
+    "header-only-tuple": ("n=4 mode=tuple\n", "empty complex"),
+    "empty": ("", "empty input: missing header"),
+    "comments-only": ("# a\n\n  # b\n", "empty input: missing header"),
+    "range-before-integer": (
+        "n=4 mode=sorted\n1 2\n1 5\n1 x\n",
+        "line 3: members (1, 5) not within [4]",
+    ),
+    "integer-before-range": ("n=4 mode=tuple\n1 x\n1 5\n", "line 2: not a run of integers: '1 x'"),
+    "duplicate-before-size": ("n=4 mode=sorted\n1 2\n2 1\n1 2 3\n", "line 3: duplicate facet"),
+    "size-before-duplicate": ("n=4 mode=tuple\n1 2\n1 2 3\n1 2\n", "line 3: facet size 3 != 2"),
+    "size-before-repeat": ("n=4 mode=sorted\n1 2\n1 2 3\n1 1\n", "line 3: facet size 3 != 2"),
+    "repeat-before-duplicate": (
+        "n=4 mode=tuple\n1 2\n2 2\n1 2\n",
+        "line 3: entries (2, 2) contain a repeat",
+    ),
+    "integer-before-constructor": (
+        "n=4 mode=sorted\n1 2\n5 5 x\n",
+        "line 3: not a run of integers: '5 5 x'",
+    ),
+    "constructor-before-size": (
+        "n=4 mode=tuple\n1 2\n5 1 2\n",
+        "line 3: entries (5, 1, 2) not within [4]",
+    ),
+}
 
 
 def write(tmp_path, name, text):
@@ -50,31 +117,53 @@ class TestParsing:
         got = parse_input(text)
         assert got.facets == {ks(4, "12"), ks(4, "23")}
 
-    def test_duplicate_facet_reports_line(self):
-        with pytest.raises(ValueError, match="line 3: duplicate"):
-            parse_input("n=4 mode=sorted\n1 2\n2 1\n")
+    @pytest.mark.parametrize("as_sequence", [False, True], ids=["complex", "sequence"])
+    def test_a_tuple_written_in_another_order_is_another_facet(self, as_sequence):
+        # in sorted mode the same lines repeat a facet (case reordered-set)
+        assert len(parse_input("n=4 mode=tuple\n1 2\n3 4\n2 1\n", as_sequence)) == 3
 
-    def test_out_of_range_reports_line(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_input("n=4 mode=sorted\n1 5\n")
+    @pytest.mark.parametrize("text, message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+    @pytest.mark.parametrize("as_sequence", [False, True], ids=["complex", "sequence"])
+    def test_the_first_bad_line_is_reported(self, text, message, as_sequence, tmp_path, capsys):
+        with pytest.raises(ValueError) as info:
+            parse_input(text, as_sequence)
+        assert str(info.value) == message
+        command = "check-shelling" if as_sequence else "find-shelling"
+        assert main([command, write(tmp_path, "bad.txt", text)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    def test_ragged_sizes_report_line(self):
-        with pytest.raises(ValueError, match="line 3: facet size"):
-            parse_input("n=4 mode=sorted\n1 2\n1 2 3\n")
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_valid_files_match_the_checked_constructors(self, data):
+        n = data.draw(st.integers(1, 9), label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        make = data.draw(st.sampled_from([KSubset, FlagTuple]))
+        written = data.draw(
+            st.lists(
+                st.permutations(range(1, n + 1)).map(lambda p: tuple(p[:k])),
+                min_size=1,
+                max_size=12,
+                unique_by=tuple if make is FlagTuple else frozenset,
+            ),
+            label="lines",
+        )
+        gaps = st.sampled_from([" ", "  ", "\t"])
+        lines = [
+            data.draw(gaps) + data.draw(gaps).join(map(str, e)) + data.draw(
+                st.sampled_from(["", " ", "  # facet"])
+            )
+            for e in written
+        ]
+        mode = "sorted" if make is KSubset else "tuple"
+        text = f"# drawn\nn={n} mode={mode}\n\n" + "\n".join(lines) + "\n"
+        facets = [make(n, e) for e in written]
 
-    def test_missing_header(self):
-        with pytest.raises(ValueError, match="header"):
-            parse_input("1 2\n")
-
-    def test_empty_input(self):
-        with pytest.raises(ValueError, match="empty"):
-            parse_input("")
-        with pytest.raises(ValueError, match="empty complex"):
-            parse_input("n=4 mode=sorted\n")
-
-    def test_non_integer(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_input("n=4 mode=sorted\n1 x\n")
+        seq = parse_input(text, as_sequence=True)
+        assert seq == FacetSequence(tuple(facets))
+        assert parse_input(serialize(seq), as_sequence=True) == seq
+        complex_ = parse_input(text)
+        assert complex_ == PureComplex.of(facets)
+        assert parse_input(serialize(complex_)) == complex_
 
 
 class TestRoundTrip:

@@ -69,6 +69,22 @@ class TestKSubset:
         y = KSubset(x.n, x.entries)
         assert list(y.members) == sorted(entries) and len(y) == len(x)
 
+    @given(st.integers(1, 12), st.lists(st.integers(-2, 14), max_size=8))
+    def test_matches_a_reference_on_any_members(self, n, members):
+        repeated = sorted(v for v in set(members) if members.count(v) > 1)
+        if repeated:
+            with pytest.raises(ValueError) as info:
+                KSubset(n, tuple(members))
+            assert str(info.value) == f"duplicate member {repeated[0]}"
+        elif any(not 1 <= v <= n for v in members):
+            with pytest.raises(ValueError) as info:
+                KSubset(n, tuple(members))
+            assert str(info.value) == f"members {tuple(sorted(members))} not within [{n}]"
+        else:
+            x = KSubset(n, tuple(members))
+            assert x.members == tuple(sorted(members))
+            assert x.mask == sum(1 << (v - 1) for v in members)
+
 
 class TestFlagTuple:
     def test_order_is_kept(self):
