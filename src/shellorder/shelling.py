@@ -8,7 +8,6 @@ per-sequence bitmask universe, so one checker serves both alphabets.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -305,38 +304,33 @@ def _tally_orders(
     and a rejected t adds one check and one rejection; the full set
     counts one check.  The first rejected prefix is found by a descent
     in ascending index into the first rejected candidate or the first
-    accepted one whose ideal counts a rejection: the depth-first
-    visit order.  The stack is explicit; the work is one ``_append_ok`` per
-    candidate of each ideal reached.
+    accepted one whose ideal counts a rejection: the depth-first visit
+    order.  The DP is a memoized recursion, one level per placed index,
+    so its depth is at most the family size: C(6, 3) = 20 for k-subset
+    families and ``suites.FAMILY_MAX_BITS`` (30) for CONF down-sets.  The
+    work is one ``_append_ok`` per candidate of each ideal reached.
     """
     members = list(_bits(full))
-    counts = {full: (1, 0)}  # ideal -> (checks, rejections) below it
     moves: dict[int, list[tuple[int, bool]]] = {}  # ideal -> (candidate, accepted)
-    stack = [0]
-    while stack:
-        used = stack[-1]
-        if used in counts:
-            stack.pop()
-            continue
-        if used not in moves:
-            rest = full ^ used
-            moves[used] = step = [
-                (t, _append_ok(used, tables[t]))
-                for t in members
-                if rest >> t & 1 and not below[t] & rest
-            ]
-            todo = [used | 1 << t for t, ok in step if ok and used | 1 << t not in counts]
-            if todo:
-                stack.extend(todo)
-                continue
+
+    @functools.cache
+    def counts(used: int) -> tuple[int, int]:  # (checks, rejections) below used
+        if used == full:
+            return 1, 0
+        rest = full ^ used
+        moves[used] = step = [
+            (t, _append_ok(used, tables[t]))
+            for t in members
+            if rest >> t & 1 and not below[t] & rest
+        ]
         checks = rejections = 0
-        for t, ok in moves[used]:
-            c, r = counts[used | 1 << t] if ok else (1, 1)
+        for t, ok in step:
+            c, r = counts(used | 1 << t) if ok else (1, 1)
             checks += c
             rejections += r
-        counts[used] = checks, rejections
-        stack.pop()
-    checks, rejections = counts[0]
+        return checks, rejections
+
+    checks, rejections = counts(0)
     if not rejections:
         return checks, 0, None
     prefix: list[int] = []
@@ -345,7 +339,7 @@ def _tally_orders(
         for t, ok in moves[used]:
             if not ok:
                 return checks, rejections, prefix + [t]
-            if counts[used | 1 << t][1]:
+            if counts(used | 1 << t)[1]:
                 prefix.append(t)
                 used |= 1 << t
                 break
@@ -443,22 +437,22 @@ def relabel(sigma: FlagTuple, seq: FacetSequence) -> FacetSequence:
 def are_isomorphic(a: FacetSequence, b: FacetSequence) -> bool:
     """True iff some relabeling carries a onto b position by position.
 
-    Exhaustive sweep of S_n; n <= 8 is enforced.
+    A relabeling sigma does so iff, for every vertex v, the positions
+    holding v in a are the positions holding sigma(v) in b.  So a and b
+    are isomorphic iff their lists of per-vertex position masks, one mask
+    per vertex of the universe, are equal once sorted.  Sequences of other
+    universes, lengths or facet sizes give different lists.  O(h·k) steps
+    for h k-facets, plus the sort of n masks; n is not bounded.
     """
     if not isinstance(a.items[0], KSubset) or not isinstance(b.items[0], KSubset):
         raise TypeError("isomorphism is defined for KSubset facets")
-    first_a, first_b = a.items[0], b.items[0]
-    if first_a.n != first_b.n or len(a) != len(b) or len(first_a) != len(first_b):
-        raise ValueError("sequences have mismatched shapes")
-    n = first_a.n
-    if n > 8:
-        raise ValueError(f"relabeling sweep requires n <= 8, got n = {n}")
-    targets = [f.members for f in b.items]
-    sources = [f.members for f in a.items]
-    for w in itertools.permutations(range(1, n + 1)):
-        if all(
-            tuple(sorted(w[v - 1] for v in src)) == tgt
-            for src, tgt in zip(sources, targets)
-        ):
-            return True
-    return False
+    return _vertex_positions(a) == _vertex_positions(b)
+
+
+def _vertex_positions(seq: FacetSequence) -> list[int]:
+    """The bits of the positions holding each vertex, sorted."""
+    held = [0] * seq.items[0].n
+    for p, f in enumerate(seq.items):
+        for v in f.members:
+            held[v - 1] |= 1 << p
+    return sorted(held)

@@ -164,35 +164,37 @@ def _sum_tallies(
     return checks, failures, first
 
 
-# (setup, shape) -> check, built once per process during one sweep;
-# ``_sweep`` empties it when it ends
+# (setup, shape) -> (instances, items, check), built once per process
+# during one sweep; ``_sweep`` empties it when it ends
 _CHECKS: dict = {}
 
 
 def _chunk(args: tuple) -> tuple[int, int, Optional[str]]:
-    setup, shape, items = args
+    setup, shape, lo, hi = args
     key = (setup, shape)
-    check = _CHECKS.get(key)
-    if check is None:
-        check = _CHECKS[key] = setup(*shape)
-    return _sum_tallies(map(check, items))
+    entry = _CHECKS.get(key)
+    if entry is None:  # a worker not forked from the sweep's process
+        entry = _CHECKS[key] = setup(*shape)
+    _, items, check = entry
+    return _sum_tallies(map(check, items[lo:hi]))
 
 
-def _sweep(suite: str, build, setup, shape: tuple, jobs: int) -> RunReport:
-    """Every suite's driver.  ``build(*shape)`` gives the instance count to
-    report and the items to check (a list or range), which are cut into
-    chunks.  In each process that checks chunks, ``setup(*shape)`` runs
-    once per sweep and gives the check from an item to its (checks,
-    failures, first counterexample).  Chunk tallies are summed in visit
+def _sweep(suite: str, setup, shape: tuple, jobs: int) -> RunReport:
+    """Every suite's driver.  ``setup(*shape)`` gives the instance count to
+    report, the items to check (a list or range) and the check from an
+    item to its (checks, failures, first counterexample).  It runs once
+    per sweep, in this process, before the items are cut into chunks;
+    pool workers forked from it inherit the set-up, and a worker started
+    any other way builds it once.  Chunk tallies are summed in visit
     order, so ``jobs`` changes no report."""
     started = time.perf_counter()
-    instances, items = build(*shape)
-    if not instances:
-        # hasse-vs-dual over an empty universe; corpora have their own guard
-        n, k = shape[:2]
-        raise ValueError(f"{suite} has no families to sweep at n = {n}, k = {k}")
-    args = [(setup, shape, items[lo:hi]) for lo, hi in _chunks(len(items))]
     try:
+        instances, items, _ = _CHECKS[setup, shape] = setup(*shape)
+        if not items:
+            # an empty universe, as at k > n; corpora have their own guards
+            n, k = shape[:2]
+            raise ValueError(f"{suite} has no families to sweep at n = {n}, k = {k}")
+        args = [(setup, shape, lo, hi) for lo, hi in _chunks(len(items))]
         checks, failures, first = _sum_tallies(_run_chunked(_chunk, args, jobs))
     finally:
         _CHECKS.clear()
@@ -207,17 +209,18 @@ def _sweep(suite: str, build, setup, shape: tuple, jobs: int) -> RunReport:
 # instance count includes the empty family.
 
 
-def _ksubset_families(n: int, k: int) -> tuple[int, range]:
+def _ksubset_universe(n: int, k: int) -> tuple[list[KSubset], int, range]:
+    """The k-subsets of [n], the instance count and every nonempty family."""
     _guard_exhaustive(n)
-    size = sum(1 for _ in all_ksubsets(n, k))
-    return 1 << size, range(1, 1 << size)
+    facets = list(all_ksubsets(n, k))
+    return facets, 1 << len(facets), range(1, 1 << len(facets))
 
 
 # --- extensions-shell -------------------------------------------------------
 
 
 def _extensions_shell_setup(n: int, k: int):
-    facets = list(all_ksubsets(n, k))
+    facets, instances, families = _ksubset_universe(n, k)
     below = strictly_below_masks(facets, OrderKind.GALE)
     tables = _append_tables([x.mask for x in facets])
 
@@ -234,22 +237,20 @@ def _extensions_shell_setup(n: int, k: int):
             first = f"X={_fmt_set(X)} extension prefix {prefix} is not a shelling prefix"
         return checks, failures, first
 
-    return check
+    return instances, families, check
 
 
 def extensions_shell(n: int, k: int, jobs: int = 1) -> RunReport:
     """Every subset with the quasi-exchange property: each of its linear
     extensions must be a shelling order."""
-    return _sweep(
-        "extensions-shell", _ksubset_families, _extensions_shell_setup, (n, k), jobs
-    )
+    return _sweep("extensions-shell", _extensions_shell_setup, (n, k), jobs)
 
 
 # --- barycentric-coxeter ----------------------------------------------------
 
 
 def _barycentric_coxeter_setup(n: int, k: int):
-    facets = list(all_ksubsets(n, k))
+    facets, instances, families = _ksubset_universe(n, k)
 
     def check(mask: int) -> tuple[int, int, Optional[str]]:
         X = [facets[t] for t in _bits(mask)]
@@ -259,21 +260,19 @@ def _barycentric_coxeter_setup(n: int, k: int):
             return 1, 1, f"X={_fmt_set(X)}: exchange={lhs} but subdivision maximality={rhs}"
         return 1, 0, None
 
-    return check
+    return instances, families, check
 
 
 def barycentric_coxeter(n: int, k: int, jobs: int = 1) -> RunReport:
     """Exchange property of X must coincide with the maximality property
     of its barycentric subdivision, for every subset."""
-    return _sweep(
-        "barycentric-coxeter", _ksubset_families, _barycentric_coxeter_setup, (n, k), jobs
-    )
+    return _sweep("barycentric-coxeter", _barycentric_coxeter_setup, (n, k), jobs)
 
 
 # --- conf-ideals-flagshell --------------------------------------------------
 
 
-def _flag_tuple_families(n: int, k: int) -> tuple[int, list[int]]:
+def _conf_ideals_setup(n: int, k: int):
     # all 2^m subsets of the m tuples are instances, but only the
     # nonempty down-sets have anything to check.  n <= 6 keeps every
     # k-subset universe at most C(6, 3) = 20 elements, but not this one
@@ -285,15 +284,10 @@ def _flag_tuple_families(n: int, k: int) -> tuple[int, list[int]]:
             f"subset sweeps are guarded at universes of at most {FAMILY_MAX_BITS} "
             f"elements, got {m} at n = {n}, k = {k}"
         )
-    ideals = order_ideals(strictly_below_masks(elems, OrderKind.CONF))
-    return 1 << m, [mask for mask in ideals if mask]
-
-
-def _conf_ideals_setup(n: int, k: int):
-    elems = list(all_flag_tuples(n, k))
     below = strictly_below_masks(elems, OrderKind.CONF)
+    ideals = [mask for mask in order_ideals(below) if mask]
     # one vertex numbering for every flag facet of the universe
-    masks, _ = facet_masks(tuple(flag_facet(y) for y in elems))
+    masks = facet_masks(tuple(flag_facet(y) for y in elems))[0] if elems else []
     tables = _append_tables(masks)
 
     def check(mask: int) -> tuple[int, int, Optional[str]]:
@@ -304,15 +298,13 @@ def _conf_ideals_setup(n: int, k: int):
             first = f"Y={Y} extension prefix {prefix} is not a flag shelling prefix"
         return checks, failures, first
 
-    return check
+    return 1 << m, ideals, check
 
 
 def conf_ideals_flagshell(n: int, k: int, jobs: int = 1) -> RunReport:
     """Every order ideal of the configuration quotient: each of its linear
     extensions must be a flag shelling order."""
-    return _sweep(
-        "conf-ideals-flagshell", _flag_tuple_families, _conf_ideals_setup, (n, k), jobs
-    )
+    return _sweep("conf-ideals-flagshell", _conf_ideals_setup, (n, k), jobs)
 
 
 # --- shelling-order corpus (promotion / evacuation / eq2 / swap) ------------
@@ -437,11 +429,6 @@ def _corpus(
     return exhaustive_corpus(n, k, max_facets)
 
 
-def _corpus_indices(n, k, max_facets, samples, seed, check_names) -> tuple[int, range]:
-    size = len(_corpus(n, k, max_facets, samples, seed))
-    return size, range(size)
-
-
 def _corpus_setup(n, k, max_facets, samples, seed, check_names):
     corpus = _corpus(n, k, max_facets, samples, seed)
     fns = [CORPUS_CHECKS[name] for name in check_names]
@@ -450,7 +437,7 @@ def _corpus_setup(n, k, max_facets, samples, seed, check_names):
         seq = corpus[i]
         return _tally(fn(seq) for fn in fns)
 
-    return check
+    return len(corpus), range(len(corpus)), check
 
 
 def sweep_shelling_corpus(
@@ -470,7 +457,7 @@ def sweep_shelling_corpus(
     below 1, is a ``ValueError``.  Either way the chunks check corpus
     indices, and each worker builds (or inherits) the same corpus."""
     shape = (n, k, max_facets, samples, seed, check_names)
-    return _sweep(suite, _corpus_indices, _corpus_setup, shape, jobs)
+    return _sweep(suite, _corpus_setup, shape, jobs)
 
 
 # The checks each corpus suite runs on every order of its corpus:
@@ -487,11 +474,10 @@ CORPUS_SUITES = {
 # --- hasse-vs-dual ----------------------------------------------------------
 
 
-def _ideal_and_interval_masks(n: int, k: int) -> tuple[int, list[int]]:
-    """Every nonempty down-set of the k-subset quotient, in ascending
-    order, then every interval that is not one of them."""
-    _guard_exhaustive(n)
-    facets = list(all_ksubsets(n, k))
+def _hasse_vs_dual_setup(n: int, k: int):
+    # the families: every nonempty down-set of the k-subset quotient, in
+    # ascending order, then every interval that is not one of them
+    facets, _, _ = _ksubset_universe(n, k)
     m = len(facets)
     below = strictly_below_masks(facets, OrderKind.GALE)
     above = [0] * m
@@ -504,11 +490,6 @@ def _ideal_and_interval_masks(n: int, k: int) -> tuple[int, list[int]]:
         for j in range(m):
             if i == j or below[j] >> i & 1:
                 supports[(above[i] | 1 << i) & (below[j] | 1 << j)] = None
-    return len(supports), list(supports)
-
-
-def _hasse_vs_dual_setup(n: int, k: int):
-    facets = list(all_ksubsets(n, k))
 
     def check(mask: int) -> tuple[int, int, Optional[str]]:
         elems = [facets[t] for t in _bits(mask)]  # canonical order already
@@ -528,16 +509,14 @@ def _hasse_vs_dual_setup(n: int, k: int):
         below = strictly_below_masks(elems, OrderKind.GALE)
         return _tally(verdict(order) for order in _walk_orders(below))
 
-    return check
+    return len(supports), list(supports), check
 
 
 def hasse_vs_dual(n: int, k: int, jobs: int = 1) -> RunReport:
     """On every order ideal and every interval, the induced Hasse graph of
     a linear extension must be a subgraph of its dual graph and the two
     promotions must agree."""
-    return _sweep(
-        "hasse-vs-dual", _ideal_and_interval_masks, _hasse_vs_dual_setup, (n, k), jobs
-    )
+    return _sweep("hasse-vs-dual", _hasse_vs_dual_setup, (n, k), jobs)
 
 
 # --- remark-bruhat-graph ----------------------------------------------------
@@ -560,7 +539,7 @@ def _transposition_neighbors(y: KSubset) -> set[KSubset]:
 
 
 def _remark_setup(n: int, k: int):
-    facets = list(all_ksubsets(n, k))
+    facets, instances, families = _ksubset_universe(n, k)
     exchange = {y: _transposition_neighbors(y) for y in facets}
     below = strictly_below_masks(facets, OrderKind.GALE)
 
@@ -586,15 +565,13 @@ def _remark_setup(n: int, k: int):
         size = mask.bit_count()
         return size * (size - 1) // 2, len(inside), inside[0] if inside else None
 
-    return check
+    return instances, families, check
 
 
 def remark_bruhat_graph(n: int, k: int, jobs: int = 1) -> RunReport:
     """Dual-graph edges must be exactly the single-exchange (reflection)
     pairs, and every edge must join comparable facets."""
-    return _sweep(
-        "remark-bruhat-graph", _ksubset_families, _remark_setup, (n, k), jobs
-    )
+    return _sweep("remark-bruhat-graph", _remark_setup, (n, k), jobs)
 
 
 SUITES = {

@@ -1,9 +1,12 @@
+import functools
 import itertools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from random import Random
 
 import pytest
 
-from shellorder import FacetSequence, FlagVertexFacet, KSubset, PureComplex
+from shellorder import FacetSequence, FlagVertexFacet, KSubset, PureComplex, suites
 
 
 def make_ksubset(n: int, digits: str) -> KSubset:
@@ -48,6 +51,30 @@ def grow_shelling_order(seed: int, n: int, k: int, h: int) -> FacetSequence:
         if cand not in masks and reference_append_ok(masks, cand, k):
             masks.append(cand)
     raise ValueError(f"growth stalled at {len(masks)} of {h} facets")
+
+
+def fork_pool(monkeypatch):
+    """Sweeps get a two-worker pool forked from this process, so the
+    workers see its patches."""
+    context = multiprocessing.get_context("fork")
+    pool = functools.partial(ProcessPoolExecutor, mp_context=context)
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 2)
+
+
+def reference_are_isomorphic(a: FacetSequence, b: FacetSequence) -> bool:
+    """The sweep of S_n that ``are_isomorphic`` replaced: some permutation
+    of [n] carries each facet of a onto the facet of b at its position.
+    Sequences of other universes, lengths or facet sizes are not."""
+    first_a, first_b = a.items[0], b.items[0]
+    if first_a.n != first_b.n or len(a) != len(b) or len(first_a) != len(first_b):
+        return False
+    sources = [f.members for f in a.items]
+    targets = [f.members for f in b.items]
+    return any(
+        all(tuple(sorted(w[v - 1] for v in src)) == tgt for src, tgt in zip(sources, targets))
+        for w in itertools.permutations(range(1, first_a.n + 1))
+    )
 
 
 def apply_positions(sigma: tuple, seq: FacetSequence) -> FacetSequence:

@@ -1,3 +1,5 @@
+import functools
+import os
 import subprocess
 import sys
 import time
@@ -18,7 +20,7 @@ from shellorder import cli, suites
 from shellorder.cli import build_parser, export_dot, main, parse_input, serialize
 from shellorder.promotion import GraphKind
 
-from conftest import grow_shelling_order, make_ksubset as ks
+from conftest import fork_pool, grow_shelling_order, make_ksubset as ks
 
 BJORNER_TEXT = "n=6 mode=sorted\n" + "\n".join(
     " ".join(d) for d in "123 125 126 234 235 134 136 145 246 356 456".split()
@@ -347,11 +349,16 @@ class TestCommands:
         assert main(["evacuate", "--graph", "dual", again]) == 0
         assert capsys.readouterr().out == text
 
-    def test_isomorphic(self, tmp_path):
+    def test_isomorphic(self, tmp_path, capsys):
         a = write(tmp_path, "a.txt", "n=5 mode=sorted\n1 2 3\n1 2 4\n1 2 5\n")
         b = write(tmp_path, "b.txt", "n=5 mode=sorted\n1 2 3\n1 2 4\n1 3 5\n")
+        short = write(tmp_path, "short.txt", "n=5 mode=sorted\n1 2 3\n1 2 4\n")
         assert main(["isomorphic", a, a]) == 0
         assert main(["isomorphic", a, b]) == 1
+        capsys.readouterr()
+        # sequences of different lengths are an answer, not a usage error
+        assert main(["isomorphic", short, a]) == 1
+        assert capsys.readouterr() == ("not isomorphic\n", "")
 
     def test_usage_errors(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.txt")
@@ -592,12 +599,20 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "instances: 16777216" in out and "checks: 11618602074" in out
 
-    def test_subset_sweep_without_families_rejected(self, capsys):
-        assert main(["verify", "hasse-vs-dual", "--n", "3", "--k", "5"]) == 2
+    @pytest.mark.parametrize(
+        "suite",
+        [
+            "extensions-shell",
+            "barycentric-coxeter",
+            "conf-ideals-flagshell",
+            "hasse-vs-dual",
+            "remark-bruhat-graph",
+        ],
+    )
+    def test_subset_sweep_without_families_rejected(self, suite, capsys):
+        assert main(["verify", suite, "--n", "3", "--k", "5"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == (
-            "error: hasse-vs-dual has no families to sweep at n = 3, k = 5\n"
-        )
+        assert captured.err == f"error: {suite} has no families to sweep at n = 3, k = 5\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -756,15 +771,23 @@ class TestVerifyCommand:
             ("remark-bruhat-graph", "_remark_setup", (5, 2)),
         ],
     )
-    def test_setup_runs_once_per_sweep(self, monkeypatch, suite, setup, shape):
-        calls = []
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_setup_runs_once_per_sweep(
+        self, monkeypatch, tmp_path, suite, setup, shape, jobs
+    ):
+        fork_pool(monkeypatch)
+        log = tmp_path / "setups.txt"
         original = getattr(suites, setup)
 
-        def counting(*args):
-            calls.append(args)
+        # the wrapper takes the set-up's name, so chunks pickle it by
+        # reference and forked workers find it in place of the original
+        @functools.wraps(original)
+        def logged(*args):
+            with log.open("a") as out:
+                out.write(f"{os.getpid()} {args}\n")
             return original(*args)
 
-        monkeypatch.setattr(suites, setup, counting)
+        monkeypatch.setattr(suites, setup, logged)
         chunks = []
         run_chunked = suites._run_chunked
 
@@ -774,12 +797,15 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(suites, "_run_chunked", counting_chunks)
         for _ in range(2):
-            report = suites.SUITES[suite](*shape, jobs=1)
+            report = suites.SUITES[suite](*shape, jobs=jobs)
             assert report.failures == 0
             # nothing of a sweep outlives it
             assert suites._CHECKS == {}
         assert min(chunks) > 1
-        assert len(calls) == 2 and calls[0] == calls[1]
+        # one set-up per sweep, in this process: forked workers reuse it
+        lines = log.read_text().splitlines()
+        assert len(lines) == 2 and lines[0] == lines[1]
+        assert lines[0].startswith(f"{os.getpid()} ")
 
 
 def test_module_entry_point(tmp_path):

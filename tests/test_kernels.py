@@ -23,12 +23,9 @@ plus grown shelling orders with and without a transposition that may
 break them.
 """
 
-import functools
 import itertools
 import math
-import multiprocessing
 import random
-from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import pytest
@@ -85,7 +82,7 @@ from shellorder.suites import (
     random_corpus,
 )
 
-from conftest import apply_positions, grow_shelling_order, reference_append_ok
+from conftest import apply_positions, fork_pool, grow_shelling_order, reference_append_ok
 
 
 def reference_is_shelling_order(seq):
@@ -1055,14 +1052,6 @@ def test_ideal_dp_on_a_subfamily_matches_the_renumbered_recursion(walk, data):
     )
 
 
-def fork_pool(monkeypatch):
-    """Workers forked from this process, so they see its patches."""
-    context = multiprocessing.get_context("fork")
-    pool = functools.partial(ProcessPoolExecutor, mp_context=context)
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", pool)
-    monkeypatch.setattr(suites.os, "cpu_count", lambda: 2)
-
-
 def _report(report):
     return report.instances, report.checks, report.failures, report.first_counterexample
 
@@ -1126,7 +1115,7 @@ def reference_remark_setup(n, k):
     def check(mask):
         return _tally(itertools.starmap(verdict, itertools.combinations(_bits(mask), 2)))
 
-    return check
+    return 1 << len(facets), range(1, 1 << len(facets)), check
 
 
 def _broken_neighbors(drop):
@@ -1144,7 +1133,7 @@ def _broken_neighbors(drop):
 def test_pair_table_matches_per_pair_scan(monkeypatch, n, k, drop, jobs):
     fork_pool(monkeypatch)
     monkeypatch.setattr(suites, "_transposition_neighbors", _broken_neighbors(drop))
-    table, scan = suites._remark_setup(n, k), reference_remark_setup(n, k)
+    table, scan = suites._remark_setup(n, k)[2], reference_remark_setup(n, k)[2]
     for mask in range(1, 1 << min(math.comb(n, k), 10)):
         assert table(mask) == scan(mask)
     got = _report(suites.remark_bruhat_graph(n, k, jobs=jobs))
@@ -1210,7 +1199,7 @@ def reference_order_ideals(below):
 
 
 def reference_ideal_and_interval_masks(n, k):
-    """``suites._ideal_and_interval_masks`` with the closure scan."""
+    """The families of ``suites._hasse_vs_dual_setup``, with the closure scan."""
     facets = list(all_ksubsets(n, k))
     m = len(facets)
     below = strictly_below_masks(facets, OrderKind.GALE)
@@ -1275,4 +1264,4 @@ def test_order_ideals_need_a_linear_extension():
 @pytest.mark.parametrize("n, k", GALE_QUOTIENTS)
 def test_hasse_supports_match_closure_scan(n, k):
     supports = reference_ideal_and_interval_masks(n, k)
-    assert suites._ideal_and_interval_masks(n, k) == (len(supports), supports)
+    assert suites._hasse_vs_dual_setup(n, k)[:2] == (len(supports), supports)

@@ -6,6 +6,7 @@ import sys
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shellorder import (
     FacetSequence,
@@ -27,7 +28,7 @@ from shellorder import shelling
 from shellorder.subdivision import flag_facet
 from shellorder.suites import random_corpus
 
-from conftest import make_ksubset as ks
+from conftest import make_ksubset as ks, reference_are_isomorphic
 
 
 def seq(n, *digit_groups):
@@ -282,13 +283,44 @@ class TestIsomorphism:
                 assert are_isomorphic(a, b)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            are_isomorphic(seq(4, "12"), seq(5, "12"))
+        # sequences of other universes, lengths or facet sizes are simply
+        # not relabelings of each other
+        assert not are_isomorphic(seq(4, "12"), seq(5, "12"))
+        assert not are_isomorphic(seq(4, "12", "23"), seq(4, "12"))
+        assert not are_isomorphic(seq(4, "12"), seq(4, "123"))
 
-    def test_guard(self):
-        big = FacetSequence((KSubset(9, (1, 2)),))
-        with pytest.raises(ValueError):
-            are_isomorphic(big, big)
+    def test_no_bound_on_n(self):
+        a = FacetSequence((KSubset(9, (1, 2)), KSubset(9, (2, 9))))
+        b = FacetSequence((KSubset(9, (5, 7)), KSubset(9, (3, 7))))
+        disjoint = FacetSequence((KSubset(9, (1, 2)), KSubset(9, (3, 4))))
+        assert are_isomorphic(a, b)  # 1 -> 5, 2 -> 7, 9 -> 3
+        assert not are_isomorphic(a, disjoint)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_the_relabeling_sweep(self, data):
+        def sequence(n, k, h=None):
+            facets = data.draw(st.permutations(list(all_ksubsets(n, k))))
+            if h is None:
+                h = data.draw(st.integers(1, min(6, len(facets))))
+            return FacetSequence(tuple(facets[:h]))
+
+        def shape():
+            n = data.draw(st.integers(1, 6))
+            return n, data.draw(st.integers(0, n))
+
+        n, k = shape()
+        a = sequence(n, k)
+        kind = data.draw(st.sampled_from(["relabeled", "same shape", "any shape"]))
+        if kind == "relabeled":
+            sigma = FlagTuple(n, tuple(data.draw(st.permutations(range(1, n + 1)))))
+            b = relabel(sigma, a)
+        elif kind == "same shape":
+            b = sequence(n, k, len(a))
+        else:
+            b = sequence(*shape())
+        assert are_isomorphic(a, b) == reference_are_isomorphic(a, b)
+        assert are_isomorphic(b, a) == are_isomorphic(a, b)
 
 
 def test_appending_swap_preserves_shelling():
