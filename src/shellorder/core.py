@@ -34,7 +34,7 @@ def _check_universe(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KSubset:
     """A subset of {1, ..., n}; members are canonicalized to sorted order.
 
@@ -70,7 +70,7 @@ class KSubset:
         return iter(self.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlagTuple:
     """A tuple of pairwise distinct values of {1, ..., n}; order matters.
 
@@ -107,7 +107,7 @@ class FlagTuple:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlagVertexFacet:
     """A facet of a flag complex: a nested chain of KSubsets of sizes 1..k."""
 
@@ -167,7 +167,7 @@ def _check_homogeneous(facets: Iterable[Facet], what: str) -> None:
             raise ValueError(f"{what} mixes universes or facet sizes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PureComplex:
     """A finite set of equal-size facets over one vertex universe."""
 
@@ -203,7 +203,7 @@ class PureComplex:
         return facet in self.facets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FacetSequence:
     """An ordered, duplicate-free, nonempty tuple of equal-size facets."""
 
@@ -258,6 +258,10 @@ class LabeledGraph:
     orientation.  Kernels whose rows are correct by construction build
     the graph with ``_of_rows`` instead, which takes the rows as given."""
 
+    # written out, not ``slots=True``: that builds a copy of the class,
+    # and on CPython 3.10 to 3.13 the copy's frozen ``__setattr__`` raises
+    # TypeError, not FrozenInstanceError, for a name that is not a field
+    # (``edges``)
     __slots__ = ("order", "rows")
     order: int
     rows: tuple[int, ...]

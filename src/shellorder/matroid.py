@@ -22,7 +22,7 @@ from .bruhat import (
 from .core import FlagTuple, KSubset, PureComplex, canonical_key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExchangeWitness:
     """A failed exchange: no partner in second for ``element`` of first."""
 
@@ -31,7 +31,7 @@ class ExchangeWitness:
     element: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatroidVerdict:
     holds: bool
     witness: Optional[ExchangeWitness] = None

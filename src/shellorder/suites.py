@@ -14,7 +14,6 @@ import itertools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Optional
@@ -69,11 +68,11 @@ SEEDED_MAX_FACETS = 10_000  # seeded corpora list all C(n, k) facets
 # next one, (5, 3) at 7 facets (bound 792,100), has 310,450 orders and
 # takes 2.7 s to build alone.  The default (5, 3) at 5 facets is 36,100.
 # (Build times: median of fresh processes on a 2-vCPU x86-64 VM, CPython
-# 3.11.)
+# 3.11.)  The bound caps a seeded corpus's sample count too.
 EXHAUSTIVE_MAX_ORDERS = 400_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunReport:
     suite: str
     instances: int
@@ -139,6 +138,11 @@ def _run_chunked(worker, args_list: list, jobs: int) -> list:
     workers = min(jobs, os.cpu_count() or 1, len(args_list))
     if workers <= 1:
         return [worker(a) for a in args_list]
+    # imported on the first sweep that forks: the pool pulls in
+    # multiprocessing, which no other path needs, and every process that
+    # imports this module (each CLI call among them) would load it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args_list))
 
@@ -164,6 +168,17 @@ def _sum_tallies(
     return checks, failures, first
 
 
+# The least k of each subset sweep; a larger k than n leaves it no
+# family.  Flag tuples (CONF ideals and barycentric flags) and the
+# prefixes of permutation completions have at least one entry.
+_SUBSET_LEAST_K = {
+    "extensions-shell": 0,
+    "barycentric-coxeter": 1,
+    "conf-ideals-flagshell": 1,
+    "hasse-vs-dual": 0,
+    "remark-bruhat-graph": 1,
+}
+
 # (setup, shape) -> (instances, items, check), built once per process
 # during one sweep; ``_sweep`` empties it when it ends
 _CHECKS: dict = {}
@@ -187,6 +202,9 @@ def _sweep(suite: str, setup, shape: tuple, jobs: int) -> RunReport:
     pool workers forked from it inherit the set-up, and a worker started
     any other way builds it once.  Chunk tallies are summed in visit
     order, so ``jobs`` changes no report."""
+    least_k = _SUBSET_LEAST_K.get(suite)
+    if least_k is not None and shape[1] < least_k:
+        raise ValueError(f"{suite} needs k >= {least_k}, got k = {shape[1]}")
     started = time.perf_counter()
     try:
         instances, items, _ = _CHECKS[setup, shape] = setup(*shape)
@@ -331,9 +349,12 @@ def random_corpus(
     """Seeded growth sampling: start from a random facet and keep appending
     a random facet that preserves the gluing condition, up to a random
     target length of 1 to ``h_max``.  Every sample is a shelling order by
-    construction.  ``samples`` and ``h_max`` must be at least 1."""
+    construction.  ``samples`` must be within [1, EXHAUSTIVE_MAX_ORDERS],
+    the bound of the exhaustive corpora, and ``h_max`` at least 1."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples > EXHAUSTIVE_MAX_ORDERS:
+        raise ValueError(f"samples must be at most {EXHAUSTIVE_MAX_ORDERS}, got {samples}")
     if h_max < 1:
         raise ValueError(f"h_max must be at least 1, got {h_max}")
     _guard_seeded(n, k)
@@ -424,6 +445,8 @@ def _corpus(
         raise ValueError(f"--max-facets must be at least 1, got {max_facets}")
     if samples < 0:
         raise ValueError(f"--samples must be at least 0, got {samples}")
+    if samples > EXHAUSTIVE_MAX_ORDERS:
+        raise ValueError(f"--samples must be at most {EXHAUSTIVE_MAX_ORDERS}, got {samples}")
     if samples > 0:
         return random_corpus(n, k, samples, seed, max_facets)
     return exhaustive_corpus(n, k, max_facets)

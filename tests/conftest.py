@@ -1,7 +1,7 @@
+import concurrent.futures
 import functools
 import itertools
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from random import Random
 
 import pytest
@@ -55,10 +55,11 @@ def grow_shelling_order(seed: int, n: int, k: int, h: int) -> FacetSequence:
 
 def fork_pool(monkeypatch):
     """Sweeps get a two-worker pool forked from this process, so the
-    workers see its patches."""
+    workers see its patches.  ``suites`` imports the pool class from
+    ``concurrent.futures`` when a sweep forks, so the patch goes there."""
     context = multiprocessing.get_context("fork")
-    pool = functools.partial(ProcessPoolExecutor, mp_context=context)
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", pool)
+    pool = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=context)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(suites.os, "cpu_count", lambda: 2)
 
 

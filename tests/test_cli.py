@@ -616,6 +616,26 @@ class TestVerifyCommand:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "suite, least_k",
+        [
+            ("extensions-shell", 0),
+            ("barycentric-coxeter", 1),
+            ("conf-ideals-flagshell", 1),
+            ("hasse-vs-dual", 0),
+            ("remark-bruhat-graph", 1),
+        ],
+    )
+    def test_subset_sweep_below_its_least_k_rejected(self, suite, least_k, capsys):
+        for k in range(-2, least_k):
+            assert main(["verify", suite, "--n", "3", "--k", str(k)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {suite} needs k >= {least_k}, got k = {k}\n"
+            assert captured.out == ""
+        # the least k itself is swept
+        assert main(["verify", suite, "--n", "3", "--k", str(least_k)]) == 0
+        assert capsys.readouterr().out.startswith(f"suite: {suite}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["remark-bruhat-graph", "--n", "4", "--k", "2"],
@@ -635,6 +655,8 @@ class TestVerifyCommand:
             (["--max-facets", "0"], "--max-facets must be at least 1, got 0"),
             (["--samples", "5", "--max-facets", "0"], "--max-facets must be at least 1, got 0"),
             (["--samples", "-1"], "--samples must be at least 0, got -1"),
+            (["--samples", "400001"], "--samples must be at most 400000, got 400001"),
+            (["--samples", "1000000000"], "--samples must be at most 400000, got 1000000000"),
         ],
     )
     def test_bad_corpus_options_rejected(self, flags, message, capsys):
@@ -676,8 +698,9 @@ class TestVerifyCommand:
             ({"max_facets": 0}, "--max-facets must be at least 1, got 0"),
             ({"samples": 3, "max_facets": 0}, "--max-facets must be at least 1, got 0"),
             ({"samples": -1}, "--samples must be at least 0, got -1"),
+            ({"samples": 400_001}, "--samples must be at most 400000, got 400001"),
         ],
-        ids=["max-facets", "seeded-max-facets", "samples"],
+        ids=["max-facets", "seeded-max-facets", "samples", "too-many-samples"],
     )
     def test_bad_corpus_arguments_rejected_by_the_library(self, kwargs, message):
         # the suites check what the command line passes them, so a library
@@ -694,8 +717,19 @@ class TestVerifyCommand:
             (3, 0, "h_max must be at least 1, got 0"),
             (-5, 3, "samples must be at least 1, got -5"),
             (0, 3, "samples must be at least 1, got 0"),
+            (400_001, 3, "samples must be at most 400000, got 400001"),
+            (10**9, 0, "samples must be at most 400000, got 1000000000"),
+            # the bound itself passes on to the next check
+            (400_000, 0, "h_max must be at least 1, got 0"),
         ],
-        ids=["h-max", "negative-samples", "no-samples"],
+        ids=[
+            "h-max",
+            "negative-samples",
+            "no-samples",
+            "over-bound",
+            "far-over-bound",
+            "at-bound",
+        ],
     )
     def test_random_corpus_checks_its_arguments(self, samples, h_max, message):
         # the public sampler, called without the suites' checks
@@ -746,7 +780,8 @@ class TestVerifyCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+        # the name ``_run_chunked`` imports when it forks
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(suites.os, "cpu_count", lambda: 3)
         assert suites._run_chunked(abs, [-1, -2, -3, -4], 8) == [1, 2, 3, 4]
         assert suites._run_chunked(abs, [-1, -2], 8) == [1, 2]

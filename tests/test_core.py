@@ -1,18 +1,25 @@
+import copy
 import dataclasses
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from shellorder import (
+    ExchangeWitness,
     FacetSequence,
     FlagTuple,
     FlagVertexFacet,
     KSubset,
     LabeledGraph,
+    MatroidVerdict,
     PureComplex,
+    is_shelling_order,
 )
 from shellorder.core import UniverseTooLargeError
+from shellorder.suites import RunReport
 
 
 class TestKSubset:
@@ -261,3 +268,83 @@ class TestLabeledGraphOfRows:
         back = pickle.loads(pickle.dumps(g))
         assert back.rows == g.rows and back == g and hash(back) == hash(g)
         assert back.edges == frozenset({(1, 2), (2, 3)})
+
+
+_PAIR = (KSubset(4, (1, 2)), KSubset(4, (2, 3)))
+_EXCHANGE = ExchangeWitness(KSubset(4, (1, 2)), KSubset(4, (3, 4)), 1)
+
+# one value of each frozen, slotted value type
+SLOTTED_VALUES = {
+    "KSubset": KSubset(5, (3, 1, 4)),
+    "FlagTuple": FlagTuple(4, (2, 4, 1)),
+    "FlagVertexFacet": FlagVertexFacet(frozenset({KSubset(4, (2,)), KSubset(4, (2, 3))})),
+    "PureComplex": PureComplex.of(_PAIR),
+    "PureComplex._trusted": PureComplex._trusted(frozenset(_PAIR)),
+    "FacetSequence": FacetSequence(_PAIR),
+    "FacetSequence._trusted": FacetSequence._trusted(_PAIR),
+    "LabeledGraph": LabeledGraph(3, [(1, 2), (3, 2)]),
+    "ExchangeWitness": _EXCHANGE,
+    "MatroidVerdict": MatroidVerdict(False, _EXCHANGE),
+    "RunReport": RunReport("extensions-shell", 4, 3, 1, "X={12}", 0.25),
+    # built with its certificates unset (the slot is filled on first read)
+    "ShellingWitness": is_shelling_order(FacetSequence(_PAIR)),
+}
+
+
+@pytest.mark.parametrize("name", SLOTTED_VALUES)
+def test_slotted_value_types(name):
+    value = SLOTTED_VALUES[name]
+    for back in (
+        pickle.loads(pickle.dumps(value)),
+        copy.copy(value),
+        copy.deepcopy(value),
+    ):
+        assert type(back) is type(value)
+        assert back == value and hash(back) == hash(value)
+    assert not hasattr(value, "__dict__")
+    for f in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, None)
+    # nor can a name that is not a field be added; a ``slots=True`` class
+    # raises TypeError here on CPython 3.10 to 3.13 (its frozen
+    # ``__setattr__`` belongs to the class it was copied from)
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        value._extra = None
+
+
+def test_trusted_constructors_build_the_checked_values():
+    checked = FacetSequence(_PAIR)
+    trusted = FacetSequence._trusted(_PAIR)
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert trusted.items == checked.items
+    checked = PureComplex.of(_PAIR)
+    trusted = PureComplex._trusted(frozenset(_PAIR))
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert list(trusted) == list(checked)
+
+
+def test_only_a_sweep_that_forks_imports_the_process_pool():
+    # a fresh interpreter, which has imported nothing of the pool yet
+    code = """
+import sys
+import shellorder.cli
+from shellorder import suites
+
+def loaded():
+    names = ("shellorder.suites", "concurrent.futures", "multiprocessing")
+    print(sorted(m for m in names if m in sys.modules))
+
+loaded()
+suites.extensions_shell(3, 2, jobs=1)
+loaded()
+suites.os.cpu_count = lambda: 2
+suites.extensions_shell(3, 2, jobs=2)
+loaded()
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['shellorder.suites']",
+        "['shellorder.suites']",
+        "['concurrent.futures', 'multiprocessing', 'shellorder.suites']",
+    ]
