@@ -4,7 +4,9 @@ Block sorting into parabolic quotients, prefix projections, the three
 orders used downstream (Gale order on sorted k-subsets, the configuration
 order on injective tuples, the full permutation order via the tableau
 criterion), induced cover relations, order-ideal tests, and
-linear-extension verification and enumeration.
+linear-extension verification and enumeration.  A ``KSubsetUniverse``
+compiles every k-subset of [n] once, so that families of it, as masks
+of facet ids, are decided by mask arithmetic.
 
 The order kind is always an explicit parameter; nothing is inferred from
 whether a tuple happens to be sorted.
@@ -13,6 +15,7 @@ whether a tuple happens to be sorted.
 from __future__ import annotations
 
 import bisect
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -22,6 +25,7 @@ from .core import (
     KSubset,
     _bits,
     _check_homogeneous,
+    all_ksubsets,
     canonical_key,
 )
 from .shelling import _walk_orders
@@ -289,6 +293,76 @@ def _lower_reflections(x: FlagTuple) -> Iterator[tuple]:
                 yield head + (a,) + tail[:j] + (b,) + tail[j + 1 :]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class KSubsetUniverse:
+    """Every k-subset of [n], compiled once for the predicates that read a
+    ``KSubsetFamily``.  A facet's id is its index in ``facets``, which are
+    in canonical order; ``masks`` are their vertex masks and ``id_of``
+    maps a vertex mask back to its id.  Per id t:
+
+    - ``below[t]``: the ids strictly below t in the Gale order;
+    - ``lower[t]``: the ids of t's Gale lower covers;
+    - ``exchange[x]``: the demands of basis exchange on x, as triples
+      (1 << y, i, ids of x - i + j for j in y\\x), for every id y and
+      every i in x\\y, ascending in y and then in i; x trades i against y
+      inside a family F iff ``ids & F``;
+    - ``quasi[x]``: the triples of ``exchange[x]`` with i > max(y\\x),
+      the demands of quasi-exchange.
+
+    Built once per sweep; the tables take O(C(n, k)²·k²) integers."""
+
+    facets: tuple[KSubset, ...]
+    masks: tuple[int, ...]
+    id_of: dict[int, int]
+    below: list[int]
+    lower: list[int]
+    exchange: list[tuple]
+    quasi: list[tuple]
+
+    @classmethod
+    def of(cls, n: int, k: int) -> "KSubsetUniverse":
+        facets = tuple(all_ksubsets(n, k))
+        masks = tuple(x.mask for x in facets)
+        id_of = {mask: t for t, mask in enumerate(masks)}
+        lower = [sum(1 << id_of[y] for y in _gale_lower_covers(x)) for x in facets]
+        exchange, quasi = [], []
+        for xm in masks:
+            demands, quasi_demands = [], []
+            for y, ym in enumerate(masks):
+                gain = ym & ~xm
+                for i in _bits(xm & ~ym):
+                    ids = sum(1 << id_of[xm ^ 1 << i | 1 << j] for j in _bits(gain))
+                    demands.append((1 << y, i + 1, ids))
+                    if i + 1 > gain.bit_length():  # i > max(y\x)
+                        quasi_demands.append(demands[-1])
+            exchange.append(tuple(demands))
+            quasi.append(tuple(quasi_demands))
+        below = strictly_below_masks(list(facets), OrderKind.GALE)
+        return cls(facets, masks, id_of, below, lower, exchange, quasi)
+
+
+@dataclass(frozen=True, slots=True)
+class KSubsetFamily:
+    """A family of facets of a compiled universe, as the mask of their
+    ids.  It iterates its KSubsets in canonical order, so any predicate
+    takes it as a list; ``is_matroid``, ``has_quasi_exchange`` and
+    ``is_order_ideal(·, GALE)`` decide it on the universe's tables."""
+
+    universe: KSubsetUniverse
+    mask: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.universe, KSubsetUniverse):
+            raise TypeError(f"expected a KSubsetUniverse, got {type(self.universe).__name__}")
+        size = len(self.universe.facets)
+        if self.mask < 0 or self.mask >> size:
+            raise ValueError(f"family mask {self.mask} leaves the universe's {size} ids")
+
+    def __iter__(self) -> Iterator[KSubset]:
+        facets = self.universe.facets
+        return (facets[t] for t in _bits(self.mask))
+
+
 def is_order_ideal(elements: Iterable, kind: OrderKind) -> bool:
     """True iff the set is downward closed in its ambient quotient.
 
@@ -297,8 +371,13 @@ def is_order_ideal(elements: Iterable, kind: OrderKind) -> bool:
     neighbour of each member x.  Gale order: the lower covers, x with
     one member a lowered to a - 1 not in x, O(|X|·k).  Configuration and
     permutation orders: the lower reflections t·x < x, O(|X|·k·(n + k)).
-    Nothing outside the set is listed.
+    Nothing outside the set is listed.  A ``KSubsetFamily`` under the
+    Gale order is decided on its universe's lower-cover id masks, one
+    AND per member.
     """
+    if isinstance(elements, KSubsetFamily) and kind is OrderKind.GALE:
+        lower, family = elements.universe.lower, elements.mask
+        return all(not lower[t] & ~family for t in _bits(family))
     elems = list(set(elements))
     if not elems:
         return True

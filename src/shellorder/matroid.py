@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .bruhat import (
+    KSubsetFamily,
     _check_operands,
     _dominance_key,
     _greatest,
@@ -61,7 +62,12 @@ def _exchange(facets: Iterable[KSubset], quasi: bool) -> MatroidVerdict:
     Per x, ``reach`` maps the bit of an i in x to the bits of the j with
     x - i + j in the family, found when i is first demanded; then i
     trades against y iff ``reach[i] & (y\\x)``.  The first failure, over
-    x, then y, then i ascending, is the witness."""
+    x, then y, then i ascending, is the witness.
+
+    A ``KSubsetFamily`` is decided on its universe's exchange rows: the
+    same demands in the same order, each one AND with the family mask."""
+    if isinstance(facets, KSubsetFamily):
+        return _exchange_on_family(facets, quasi)
     elems = _sorted_ksubsets(facets)
     masks = [x.mask for x in elems]
     present = set(masks)
@@ -93,6 +99,21 @@ def _exchange(facets: Iterable[KSubset], quasi: bool) -> MatroidVerdict:
                 if not reach[bit] & gain:
                     return MatroidVerdict(False, ExchangeWitness(x, y, bit.bit_length()))
                 lost ^= bit
+    return MatroidVerdict(True)
+
+
+def _exchange_on_family(family: KSubsetFamily, quasi: bool) -> MatroidVerdict:
+    universe, members = family.universe, family.mask
+    demands = universe.quasi if quasi else universe.exchange
+    rest = members
+    while rest:  # the ids x of the members, ascending
+        x_bit = rest & -rest
+        rest ^= x_bit
+        for y_bit, i, ids in demands[x_bit.bit_length() - 1]:
+            if members & y_bit and not ids & members:
+                x = universe.facets[x_bit.bit_length() - 1]
+                y = universe.facets[y_bit.bit_length() - 1]
+                return MatroidVerdict(False, ExchangeWitness(x, y, i))
     return MatroidVerdict(True)
 
 

@@ -11,6 +11,7 @@ checker applies unchanged.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable
 
 from .bruhat import prefix_projection
@@ -24,12 +25,29 @@ from .core import (
 from .shelling import find_shelling_order, is_shelling_order
 
 
+# |X|·k! tuples are built and, by the CLI, printed at about 10 µs each
+# (2-vCPU x86-64 VM, CPython 3.11), so the bound is about a second of
+# work.  The largest subdivision a sweep or the benchmark builds is far
+# below it: 20 facets of size 3, 120 tuples.  One facet of size 10 has
+# 3,628,800 tuples and printed nothing in 10 s.
+BARYCENTRIC_MAX_TUPLES = 100_000
+
+
 def barycentric(complex_: PureComplex) -> set[FlagTuple]:
-    """All orderings of every facet's members; |X| * k! tuples."""
+    """All orderings of every facet's members; |X| * k! tuples, bounded
+    by ``BARYCENTRIC_MAX_TUPLES`` before any is listed."""
+    facets = list(complex_)
+    if any(not isinstance(facet, KSubset) for facet in facets):
+        raise TypeError("barycentric subdivision expects KSubset facets")
+    tuples = sum(math.factorial(len(facet)) for facet in facets)
+    if tuples > BARYCENTRIC_MAX_TUPLES:
+        k = len(facets[0])
+        raise ValueError(
+            f"barycentric subdivisions are bounded at {BARYCENTRIC_MAX_TUPLES} "
+            f"tuples, got |X|·k! = {len(facets)}·{k}! = {tuples}"
+        )
     out: set[FlagTuple] = set()
-    for facet in complex_:
-        if not isinstance(facet, KSubset):
-            raise TypeError("barycentric subdivision expects KSubset facets")
+    for facet in facets:
         for arrangement in itertools.permutations(facet.members):
             out.add(FlagTuple(facet.n, arrangement))
     return out

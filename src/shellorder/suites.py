@@ -19,6 +19,8 @@ from random import Random
 from typing import Iterable, Optional
 
 from .bruhat import (
+    KSubsetFamily,
+    KSubsetUniverse,
     OrderKind,
     induced_covers,
     is_order_ideal,
@@ -168,10 +170,11 @@ def _sum_tallies(
     return checks, failures, first
 
 
-# The least k of each subset sweep; a larger k than n leaves it no
-# family.  Flag tuples (CONF ideals and barycentric flags) and the
-# prefixes of permutation completions have at least one entry.
-_SUBSET_LEAST_K = {
+# The least k of each suite, 0 where none is listed; a subset sweep with
+# a larger k than n has no family.  Flag tuples (CONF ideals and
+# barycentric flags) and the prefixes of permutation completions have at
+# least one entry.
+_LEAST_K = {
     "extensions-shell": 0,
     "barycentric-coxeter": 1,
     "conf-ideals-flagshell": 1,
@@ -202,15 +205,17 @@ def _sweep(suite: str, setup, shape: tuple, jobs: int) -> RunReport:
     pool workers forked from it inherit the set-up, and a worker started
     any other way builds it once.  Chunk tallies are summed in visit
     order, so ``jobs`` changes no report."""
-    least_k = _SUBSET_LEAST_K.get(suite)
-    if least_k is not None and shape[1] < least_k:
-        raise ValueError(f"{suite} needs k >= {least_k}, got k = {shape[1]}")
+    n, k = shape[:2]
+    least_k = _LEAST_K.get(suite, 0)
+    if k < least_k:
+        raise ValueError(f"{suite} needs k >= {least_k}, got k = {k}")
+    if n < 0:
+        raise ValueError(f"{suite} needs n >= 0, got n = {n}")
     started = time.perf_counter()
     try:
         instances, items, _ = _CHECKS[setup, shape] = setup(*shape)
         if not items:
             # an empty universe, as at k > n; corpora have their own guards
-            n, k = shape[:2]
             raise ValueError(f"{suite} has no families to sweep at n = {n}, k = {k}")
         args = [(setup, shape, lo, hi) for lo, hi in _chunks(len(items))]
         checks, failures, first = _sum_tallies(_run_chunked(_chunk, args, jobs))
@@ -227,23 +232,26 @@ def _sweep(suite: str, setup, shape: tuple, jobs: int) -> RunReport:
 # instance count includes the empty family.
 
 
-def _ksubset_universe(n: int, k: int) -> tuple[list[KSubset], int, range]:
-    """The k-subsets of [n], the instance count and every nonempty family."""
+def _ksubset_universe(n: int, k: int) -> tuple[KSubsetUniverse, int, range]:
+    """The k-subsets of [n], compiled once per sweep (each check reads
+    their tables, and forked workers inherit them), the instance count
+    and every nonempty family."""
     _guard_exhaustive(n)
-    facets = list(all_ksubsets(n, k))
-    return facets, 1 << len(facets), range(1, 1 << len(facets))
+    universe = KSubsetUniverse.of(n, k)
+    size = 1 << len(universe.facets)
+    return universe, size, range(1, size)
 
 
 # --- extensions-shell -------------------------------------------------------
 
 
 def _extensions_shell_setup(n: int, k: int):
-    facets, instances, families = _ksubset_universe(n, k)
-    below = strictly_below_masks(facets, OrderKind.GALE)
-    tables = _append_tables([x.mask for x in facets])
+    universe, instances, families = _ksubset_universe(n, k)
+    facets, below = universe.facets, universe.below
+    tables = _append_tables(universe.masks)
 
     def check(mask: int) -> tuple[int, int, Optional[str]]:
-        X = [facets[t] for t in _bits(mask)]
+        X = KSubsetFamily(universe, mask)
         if not has_quasi_exchange(X).holds:
             # matroids and order ideals always have quasi-exchange
             if is_matroid(X).holds or is_order_ideal(X, OrderKind.GALE):
@@ -268,10 +276,10 @@ def extensions_shell(n: int, k: int, jobs: int = 1) -> RunReport:
 
 
 def _barycentric_coxeter_setup(n: int, k: int):
-    facets, instances, families = _ksubset_universe(n, k)
+    universe, instances, families = _ksubset_universe(n, k)
 
     def check(mask: int) -> tuple[int, int, Optional[str]]:
-        X = [facets[t] for t in _bits(mask)]
+        X = KSubsetFamily(universe, mask)
         lhs = is_matroid(X).holds
         rhs = is_coxeter_matroid(barycentric(PureComplex.of(X)))
         if lhs != rhs:
@@ -500,9 +508,9 @@ CORPUS_SUITES = {
 def _hasse_vs_dual_setup(n: int, k: int):
     # the families: every nonempty down-set of the k-subset quotient, in
     # ascending order, then every interval that is not one of them
-    facets, _, _ = _ksubset_universe(n, k)
+    universe, _, _ = _ksubset_universe(n, k)
+    facets, below = universe.facets, universe.below
     m = len(facets)
-    below = strictly_below_masks(facets, OrderKind.GALE)
     above = [0] * m
     for t, row in enumerate(below):
         for i in _bits(row):
@@ -562,9 +570,9 @@ def _transposition_neighbors(y: KSubset) -> set[KSubset]:
 
 
 def _remark_setup(n: int, k: int):
-    facets, instances, families = _ksubset_universe(n, k)
+    universe, instances, families = _ksubset_universe(n, k)
+    facets, below = universe.facets, universe.below
     exchange = {y: _transposition_neighbors(y) for y in facets}
-    below = strictly_below_masks(facets, OrderKind.GALE)
 
     def verdict(s: int, t: int) -> Optional[str]:
         a, b = facets[s], facets[t]

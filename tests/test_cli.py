@@ -314,6 +314,19 @@ class TestCommands:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "no shelling order\n")
 
+    def test_barycentric_above_its_bound_rejected(self, tmp_path, capsys):
+        # 10! = 3,628,800 tuples would be listed and printed
+        path = write(tmp_path, "b.txt", "n=11 mode=sorted\n1 2 3 4 5 6 7 8 9 10\n")
+        started = time.perf_counter()
+        assert main(["barycentric", path]) == 2
+        assert time.perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: barycentric subdivisions are bounded at 100000 tuples, "
+            "got |X|·k! = 1·10! = 3628800\n"
+        )
+        assert captured.out == ""
+
     def test_barycentric_output(self, tmp_path, capsys):
         path = write(tmp_path, "b.txt", "n=4 mode=sorted\n2 4\n3 4\n")
         assert main(["barycentric", path]) == 0
@@ -635,10 +648,35 @@ class TestVerifyCommand:
         assert main(["verify", suite, "--n", "3", "--k", str(least_k)]) == 0
         assert capsys.readouterr().out.startswith(f"suite: {suite}\n")
 
+    @pytest.mark.parametrize("suite", ["promotion-shell", "evacuation-shell", "eq2-oracle"])
+    @pytest.mark.parametrize("samples", ["0", "3"])
+    @pytest.mark.parametrize(
+        "n, k, message",
+        [("3", "-1", "k >= 0, got k = -1"), ("-2", "2", "n >= 0, got n = -2")],
+    )
+    def test_corpus_suite_negative_n_or_k_rejected(
+        self, suite, samples, n, k, message, capsys
+    ):
+        # the subset suites' form, for the exhaustive and the seeded corpus
+        argv = ["verify", suite, "--n", n, "--k", k, "--samples", samples]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {suite} needs {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("suite", list(suites.SUITES))
+    def test_negative_n_rejected(self, suite, capsys):
+        assert main(["verify", suite, "--n", "-2", "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {suite} needs n >= 0, got n = -2\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["remark-bruhat-graph", "--n", "4", "--k", "2"],
+            # workers decide families on the universe compiled before the fork
+            ["extensions-shell", "--n", "5", "--k", "3"],
             # a seeded corpus goes through the pool as well
             ["evacuation-shell", "--n", "5", "--k", "3", "--samples", "300", "--seed", "3"],
         ],

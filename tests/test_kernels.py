@@ -11,8 +11,10 @@ through the pair-scan graph for ``promote``, ``evacuate`` and
 ``promote_via_moves``), edge-set scans for ``LabeledGraph`` lookups
 and ``track``, one recursion per enumerator for the iterative order
 walker, separate basis-exchange and quasi-exchange scans for the shared
-exchange routine, pairwise ``leq`` scans for the dominance-row order
-kernels and the greatest-element scan, the scan of the whole ambient
+exchange routine, the list path of the exchange and Gale down-set
+predicates for their path on families of a compiled universe, pairwise
+``leq`` scans for the dominance-row order kernels and the
+greatest-element scan, the scan of the whole ambient
 quotient for the local down-set test, and, for the per-family kernels of
 the subset sweeps, the extension walk for the DP over order ideals and
 the per-pair scan for the pair table, the closure test of every one of
@@ -23,6 +25,7 @@ plus grown shelling orders with and without a transposition that may
 break them.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -63,7 +66,7 @@ from shellorder import (
     track,
 )
 from shellorder import bruhat, promotion, shelling, suites
-from shellorder.bruhat import leq, strictly_below_masks
+from shellorder.bruhat import KSubsetFamily, KSubsetUniverse, leq, strictly_below_masks
 from shellorder.core import _bits, canonical_key
 from shellorder.matroid import ExchangeWitness, MatroidVerdict
 from shellorder.shelling import (
@@ -721,6 +724,73 @@ def test_exchange_verdicts_match_on_mixed_sizes():
         False, ExchangeWitness(twelve, one, 2)
     )
     assert has_quasi_exchange([twelve, one]).holds
+
+
+# --- compiled universes: family masks against the list path ----------------
+
+
+@functools.cache
+def compiled_universe(n, k):
+    return KSubsetUniverse.of(n, k)
+
+
+def assert_family_matches_list(n, k, mask):
+    universe = compiled_universe(n, k)
+    family = KSubsetFamily(universe, mask)
+    facets = [universe.facets[t] for t in _bits(mask)]
+    assert list(family) == facets
+    # verdict and witness: the first failure over x, y and i ascending
+    assert has_quasi_exchange(family) == has_quasi_exchange(facets)
+    assert is_matroid(family) == is_matroid(facets)
+    gale = OrderKind.GALE
+    assert is_order_ideal(family, gale) == is_order_ideal(facets, gale)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (5, 3)])
+def test_family_verdicts_match_the_list_path_on_every_family(n, k):
+    for mask in range(1 << math.comb(n, k)):
+        assert_family_matches_list(n, k, mask)
+
+
+@st.composite
+def wide_families(draw):
+    """A family of (6, 2) or (6, 3), or the Gale down-closure of one:
+    most families lack quasi-exchange, and every down-set has it."""
+    n, k = draw(st.sampled_from([(6, 2), (6, 3)]))
+    m = math.comb(n, k)
+    if draw(st.booleans()):
+        return n, k, draw(st.integers(0, (1 << m) - 1))
+    below = compiled_universe(n, k).below
+    mask = 0
+    for t in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        mask |= 1 << t | below[t]
+    return n, k, mask
+
+
+@given(wide_families())
+@settings(max_examples=300, deadline=None)
+def test_family_verdicts_match_the_list_path_on_random_families(case):
+    assert_family_matches_list(*case)
+
+
+@pytest.mark.parametrize("kind", [OrderKind.CONF, OrderKind.PERM])
+def test_family_order_ideal_outside_the_gale_order_raises_like_the_list(kind):
+    family = KSubsetFamily(compiled_universe(4, 2), 0b100101)
+    with pytest.raises(TypeError) as want:
+        is_order_ideal(list(family), kind)
+    with pytest.raises(TypeError) as got:
+        is_order_ideal(family, kind)
+    assert str(got.value) == str(want.value)
+
+
+def test_family_is_checked_at_construction():
+    universe = compiled_universe(4, 2)  # 6 facets
+    for mask in (-1, 1 << 6, 0b1000001):
+        with pytest.raises(ValueError, match="leaves the universe's 6 ids"):
+            KSubsetFamily(universe, mask)
+    with pytest.raises(TypeError, match="expected a KSubsetUniverse"):
+        KSubsetFamily(list(universe.facets), 1)
+    assert list(KSubsetFamily(universe, 0)) == []
 
 
 # --- the order kernels against pairwise leq --------------------------------

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from shellorder import subdivision
 from shellorder import (
     FacetSequence,
     FlagTuple,
@@ -54,6 +55,25 @@ class TestBarycentric:
         for _ in range(20):
             X = set(rng.sample(pool, rng.randint(1, 6)))
             assert len(barycentric(PureComplex.of(X))) == len(X) * math.factorial(3)
+
+    def test_output_bounded_before_listing(self, monkeypatch):
+        # |X|·k! is computed first: at the bound the tuples are listed,
+        # above it nothing is
+        monkeypatch.setattr(subdivision, "BARYCENTRIC_MAX_TUPLES", 12)
+        two = PureComplex.of({ks(5, "123"), ks(5, "124")})
+        assert len(barycentric(two)) == 12
+        monkeypatch.setattr(subdivision.itertools, "permutations", None)
+        three = PureComplex.of({ks(5, "123"), ks(5, "124"), ks(5, "125")})
+        with pytest.raises(ValueError) as info:
+            barycentric(three)
+        assert str(info.value) == (
+            "barycentric subdivisions are bounded at 12 tuples, got |X|·k! = 3·3! = 18"
+        )
+
+    def test_bound_admits_the_largest_sweep_subdivision(self):
+        # barycentric-coxeter (6, 3) subdivides all 20 facets: 120 tuples
+        assert len(barycentric(PureComplex.of(all_ksubsets(6, 3)))) == 120
+        assert subdivision.BARYCENTRIC_MAX_TUPLES == 100_000
 
 
 class TestFlagComplex:
