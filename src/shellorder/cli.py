@@ -3,14 +3,16 @@
 Input files carry one facet per line after a required header
 ``n=<int> mode=<sorted|tuple>``; ``#`` starts a comment.  ``sorted`` lines
 become KSubsets, ``tuple`` lines become FlagTuples with the written order.
-Checks print ``holds``/``fails ...`` and exit 0/1 (2 on usage errors);
-transforms print their result in the same file format.
+Checks print ``holds``/``fails ...`` and exit 0/1 (2 on usage errors,
+141 when the reader of stdout goes away); transforms print their result
+in the same file format.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from pathlib import Path
@@ -330,7 +332,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return globals()[args.fn](args)
+        status = globals()[args.fn](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader went away (``| head -1``): stop quietly with the
+        # status a shell reports for SIGPIPE, 128 + 13; stdout now points
+        # at os.devnull, so the flush at exit has nothing to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,17 +10,20 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .bruhat import (
-    KSubsetFamily,
+    Family,
+    FlagTupleUniverse,
+    KSubsetUniverse,
     _check_operands,
     _dominance_key,
     _greatest,
     _order_of,
     prefix_projection,
 )
-from .core import FlagTuple, KSubset, PureComplex, canonical_key
+from .core import FlagTuple, KSubset, PureComplex, _bits, canonical_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,9 +67,10 @@ def _exchange(facets: Iterable[KSubset], quasi: bool) -> MatroidVerdict:
     trades against y iff ``reach[i] & (y\\x)``.  The first failure, over
     x, then y, then i ascending, is the witness.
 
-    A ``KSubsetFamily`` is decided on its universe's exchange rows: the
-    same demands in the same order, each one AND with the family mask."""
-    if isinstance(facets, KSubsetFamily):
+    A ``Family`` of a ``KSubsetUniverse`` is decided on its universe's
+    exchange rows: the same demands in the same order, each one AND with
+    the family mask."""
+    if isinstance(facets, Family) and isinstance(facets.universe, KSubsetUniverse):
         return _exchange_on_family(facets, quasi)
     elems = _sorted_ksubsets(facets)
     masks = [x.mask for x in elems]
@@ -102,7 +106,7 @@ def _exchange(facets: Iterable[KSubset], quasi: bool) -> MatroidVerdict:
     return MatroidVerdict(True)
 
 
-def _exchange_on_family(family: KSubsetFamily, quasi: bool) -> MatroidVerdict:
+def _exchange_on_family(family: Family, quasi: bool) -> MatroidVerdict:
     universe, members = family.universe, family.mask
     demands = universe.quasi if quasi else universe.exchange
     rest = members
@@ -132,8 +136,11 @@ def is_coxeter_matroid(elements: Iterable) -> bool:
 
     Accepts a set of FlagTuples (configuration order, image is entrywise
     application of w) or of KSubsets (Gale order, image is the sorted
-    value set).  Sweeps all of S_n, so n <= 8 is enforced.
+    value set).  Sweeps all of S_n, so n <= 8 is enforced.  A ``Family``
+    of a ``FlagTupleUniverse`` is decided on its universe's tables.
     """
+    if isinstance(elements, Family) and isinstance(elements.universe, FlagTupleUniverse):
+        return _maximality_on_family(elements)
     elems = sorted(set(elements), key=canonical_key)
     if not elems:
         raise ValueError("empty set cannot be tested for maximality")
@@ -147,6 +154,30 @@ def is_coxeter_matroid(elements: Iterable) -> bool:
     points = [tuple(x) for x in elems]
     for w in itertools.permutations(range(1, n + 1)):
         if _greatest([key(tuple([w[v - 1] for v in pt])) for pt in points]) is None:
+            return False
+    return True
+
+
+def _maximality_on_family(family: Family) -> bool:
+    """One mask test per permutation w: the image ids G of the members
+    have a greatest element iff G lies inside ``below[v] | 1 << v`` for
+    the largest id v, since ids are a linear extension.  The image of
+    the last failing w moves to the front of the universe's list, so it
+    is tried first next time; only a failure stops the scan, so the
+    order changes no verdict."""
+    members = _bits(family.mask)
+    if not members:
+        raise ValueError("empty set cannot be tested for maximality")
+    if len(members) == 1:  # its own greatest element under every w
+        return True
+    images, below = family.universe.images, family.universe.below
+    bit = [1 << v for v in range(len(below))]
+    image_of = itemgetter(*members)
+    for j, image in enumerate(images):
+        ids = sum(map(bit.__getitem__, image_of(image)))
+        top = ids.bit_length() - 1
+        if ids & ~below[top] != 1 << top:
+            images.insert(0, images.pop(j))
             return False
     return True
 

@@ -19,7 +19,8 @@ from random import Random
 from typing import Iterable, Optional
 
 from .bruhat import (
-    KSubsetFamily,
+    Family,
+    FlagTupleUniverse,
     KSubsetUniverse,
     OrderKind,
     induced_covers,
@@ -211,6 +212,9 @@ def _sweep(suite: str, setup, shape: tuple, jobs: int) -> RunReport:
         raise ValueError(f"{suite} needs k >= {least_k}, got k = {k}")
     if n < 0:
         raise ValueError(f"{suite} needs n >= 0, got n = {n}")
+    if n == k == 0:
+        # the one 0-subset of [0] is no facet: a facet needs n >= 1
+        raise ValueError(f"{suite} needs n >= 1 at k = 0, got n = 0")
     started = time.perf_counter()
     try:
         instances, items, _ = _CHECKS[setup, shape] = setup(*shape)
@@ -251,7 +255,7 @@ def _extensions_shell_setup(n: int, k: int):
     tables = _append_tables(universe.masks)
 
     def check(mask: int) -> tuple[int, int, Optional[str]]:
-        X = KSubsetFamily(universe, mask)
+        X = Family(universe, mask)
         if not has_quasi_exchange(X).holds:
             # matroids and order ideals always have quasi-exchange
             if is_matroid(X).holds or is_order_ideal(X, OrderKind.GALE):
@@ -277,11 +281,15 @@ def extensions_shell(n: int, k: int, jobs: int = 1) -> RunReport:
 
 def _barycentric_coxeter_setup(n: int, k: int):
     universe, instances, families = _ksubset_universe(n, k)
+    # the subdivision of each family, as a family of the compiled tuples
+    flags = FlagTupleUniverse.of(n, k)
+    id_of = flags.id_of
 
     def check(mask: int) -> tuple[int, int, Optional[str]]:
-        X = KSubsetFamily(universe, mask)
+        X = Family(universe, mask)
         lhs = is_matroid(X).holds
-        rhs = is_coxeter_matroid(barycentric(PureComplex.of(X)))
+        Y = barycentric(PureComplex.of(X))
+        rhs = is_coxeter_matroid(Family(flags, sum(1 << id_of[y.entries] for y in Y)))
         if lhs != rhs:
             return 1, 1, f"X={_fmt_set(X)}: exchange={lhs} but subdivision maximality={rhs}"
         return 1, 0, None

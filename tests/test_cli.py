@@ -672,6 +672,22 @@ class TestVerifyCommand:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "suite, samples",
+        [("extensions-shell", "0"), ("hasse-vs-dual", "0")]
+        + [(s, z) for s in ("promotion-shell", "evacuation-shell", "eq2-oracle") for z in "01"],
+    )
+    def test_empty_ground_set_at_k_zero_rejected(self, suite, samples, capsys):
+        # the other suites need k >= 1, and at k >= 1 the universe of
+        # [0] is empty, which each suite reports in its own words
+        argv = ["verify", suite, "--n", "0", "--k", "0"]
+        if suite in suites.CORPUS_SUITES:
+            argv += ["--samples", samples]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {suite} needs n >= 1 at k = 0, got n = 0\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["remark-bruhat-graph", "--n", "4", "--k", "2"],
@@ -889,3 +905,23 @@ def test_module_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout.startswith("holds")
+
+
+def test_closed_pipe_ends_quietly(tmp_path):
+    # the 3-subsets of [6] have far more linear extensions than a pipe
+    # buffers, so the writer meets the closed pipe while it streams
+    text = "n=6 mode=sorted\n" + "".join(
+        " ".join(map(str, x.members)) + "\n" for x in all_ksubsets(6, 3)
+    )
+    path = write(tmp_path, "c.txt", text)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shellorder", "list-extensions", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()  # what ``| head -1`` does after its line
+    assert proc.wait(timeout=60) == 141
+    assert first.startswith(b"1 2 3, 1 2 4, ")
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

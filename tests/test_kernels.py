@@ -18,8 +18,10 @@ greatest-element scan, the scan of the whole ambient
 quotient for the local down-set test, and, for the per-family kernels of
 the subset sweeps, the extension walk for the DP over order ideals and
 the per-pair scan for the pair table, the closure test of every one of
-the 2^m masks for the down-set enumerator, and pairwise ``leq`` on every
-shifted image for the Coxeter maximality sweep. Sequences are random
+the 2^m masks for the down-set enumerator, pairwise ``leq`` on every
+shifted image for the Coxeter maximality sweep, and both that scan and
+the list path for the maximality check on a compiled flag-tuple
+universe. Sequences are random
 k-subset and flag-vertex sequences, most of them not shelling orders,
 plus grown shelling orders with and without a transposition that may
 break them.
@@ -66,7 +68,13 @@ from shellorder import (
     track,
 )
 from shellorder import bruhat, promotion, shelling, suites
-from shellorder.bruhat import KSubsetFamily, KSubsetUniverse, leq, strictly_below_masks
+from shellorder.bruhat import (
+    Family,
+    FlagTupleUniverse,
+    KSubsetUniverse,
+    leq,
+    strictly_below_masks,
+)
 from shellorder.core import _bits, canonical_key
 from shellorder.matroid import ExchangeWitness, MatroidVerdict
 from shellorder.shelling import (
@@ -76,7 +84,7 @@ from shellorder.shelling import (
     _walk_orders,
     facet_masks,
 )
-from shellorder.subdivision import flag_facet
+from shellorder.subdivision import barycentric, flag_facet
 from shellorder.suites import (
     _fmt_seq,
     _tally,
@@ -736,7 +744,7 @@ def compiled_universe(n, k):
 
 def assert_family_matches_list(n, k, mask):
     universe = compiled_universe(n, k)
-    family = KSubsetFamily(universe, mask)
+    family = Family(universe, mask)
     facets = [universe.facets[t] for t in _bits(mask)]
     assert list(family) == facets
     # verdict and witness: the first failure over x, y and i ascending
@@ -775,7 +783,7 @@ def test_family_verdicts_match_the_list_path_on_random_families(case):
 
 @pytest.mark.parametrize("kind", [OrderKind.CONF, OrderKind.PERM])
 def test_family_order_ideal_outside_the_gale_order_raises_like_the_list(kind):
-    family = KSubsetFamily(compiled_universe(4, 2), 0b100101)
+    family = Family(compiled_universe(4, 2), 0b100101)
     with pytest.raises(TypeError) as want:
         is_order_ideal(list(family), kind)
     with pytest.raises(TypeError) as got:
@@ -787,10 +795,10 @@ def test_family_is_checked_at_construction():
     universe = compiled_universe(4, 2)  # 6 facets
     for mask in (-1, 1 << 6, 0b1000001):
         with pytest.raises(ValueError, match="leaves the universe's 6 ids"):
-            KSubsetFamily(universe, mask)
+            Family(universe, mask)
     with pytest.raises(TypeError, match="expected a KSubsetUniverse"):
-        KSubsetFamily(list(universe.facets), 1)
-    assert list(KSubsetFamily(universe, 0)) == []
+        Family(list(universe.facets), 1)
+    assert list(Family(universe, 0)) == []
 
 
 # --- the order kernels against pairwise leq --------------------------------
@@ -875,12 +883,23 @@ def order_lists(draw):
     return kind, draw(st.permutations(elems))
 
 
+# ``leq`` on immutable values, each pair compared once per test run and
+# order: the maximality references meet the same pairs under many
+# permutations
+cached_leq = {kind: functools.cache(functools.partial(leq, kind=kind)) for kind in OrderKind}
+
+
 def reference_unique_maximum(elements, kind):
+    """The element above every element, by pairwise ``leq``: an element
+    not below the candidate replaces it, so a greatest element, once
+    met, stays the candidate; a second pass confirms it."""
+    below = cached_leq[kind]
     elems = sorted(set(elements), key=canonical_key)
-    for cand in elems:
-        if all(leq(x, cand, kind) for x in elems):
-            return cand
-    return None
+    cand = elems[0]
+    for x in elems:
+        if not below(x, cand):
+            cand = x
+    return cand if all(below(x, cand) for x in elems) else None
 
 
 @settings(max_examples=500, deadline=None)
@@ -895,18 +914,22 @@ def test_order_kernels_match_pairwise_leq(case):
     assert (None if best is None else elems[best]) == reference_unique_maximum(elems, kind)
 
 
+@functools.cache
+def reference_shift(w, x):
+    """w applied to each value of x, kept once per pair for the test run."""
+    if isinstance(x, KSubset):
+        return KSubset(x.n, tuple(sorted(w[v - 1] for v in x.members)))
+    return FlagTuple(x.n, tuple(w[v - 1] for v in x.entries))
+
+
 def reference_is_coxeter_matroid(elements):
     """Every w-shifted image has a greatest element, by pairwise ``leq``
     on each image, one permutation at a time."""
     elems = list(elements)
     n = elems[0].n
+    kind = OrderKind.GALE if isinstance(elems[0], KSubset) else OrderKind.CONF
     for w in itertools.permutations(range(1, n + 1)):
-        if isinstance(elems[0], KSubset):
-            kind = OrderKind.GALE
-            image = {KSubset(n, tuple(sorted(w[v - 1] for v in x.members))) for x in elems}
-        else:
-            kind = OrderKind.CONF
-            image = {FlagTuple(n, tuple(w[v - 1] for v in y.entries)) for y in elems}
+        image = {reference_shift(w, x) for x in elems}
         if reference_unique_maximum(image, kind) is None:
             return False
     return True
@@ -927,6 +950,117 @@ def coxeter_families(draw):
 @given(coxeter_families())
 def test_coxeter_maximality_matches_per_permutation_scan(family):
     assert is_coxeter_matroid(family) == reference_is_coxeter_matroid(family)
+
+
+# --- compiled flag-tuple universes: the maximality kernel -------------------
+
+
+@functools.cache
+def compiled_flags(n, k):
+    # one universe per shape for the whole test run, so each check starts
+    # from the permutation order that the checks before it left
+    return FlagTupleUniverse.of(n, k)
+
+
+def assert_maximality_matches(n, k, mask):
+    """The compiled check on a family of tuple ids against the list path
+    and the pairwise scan."""
+    flags = compiled_flags(n, k)
+    tuples = [flags.facets[t] for t in _bits(mask)]
+    got = is_coxeter_matroid(Family(flags, mask))
+    assert got == is_coxeter_matroid(tuples) == reference_is_coxeter_matroid(tuples)
+    return got
+
+
+def subdivision_mask(n, k, ksubset_mask):
+    """The tuple ids of the barycentric subdivision of a k-subset family."""
+    X = Family(compiled_universe(n, k), ksubset_mask)
+    id_of = compiled_flags(n, k).id_of
+    return sum(1 << id_of[y.entries] for y in barycentric(PureComplex.of(X)))
+
+
+@st.composite
+def flag_families(draw):
+    """A nonempty family of injective k-tuples of [n], n <= 5: any ids,
+    or the barycentric subdivision of a k-subset family."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        size = math.perm(n, k)
+        ids = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8))
+        return n, k, sum(1 << t for t in set(ids))
+    return n, k, subdivision_mask(n, k, draw(st.integers(1, (1 << math.comb(n, k)) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag_families())
+def test_compiled_maximality_matches_the_list_path_and_the_scan(case):
+    assert_maximality_matches(*case)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (5, 3)])
+def test_compiled_maximality_matches_on_every_subdivision(n, k):
+    # every nonempty k-subset family: X is a matroid iff its subdivision
+    # is a Coxeter matroid, so the verdicts are the exchange verdicts
+    universe = compiled_universe(n, k)
+    for mask in range(1, 1 << len(universe.facets)):
+        got = assert_maximality_matches(n, k, subdivision_mask(n, k, mask))
+        assert got == is_matroid(Family(universe, mask)).holds
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (3, 3)])
+def test_compiled_maximality_does_not_depend_on_the_permutation_order(n, k):
+    # every family, with each permutation tried first: at either shape,
+    # 18 of the 35 families of two or three tuples fail under exactly
+    # one permutation
+    flags = FlagTupleUniverse.of(n, k)
+    images = list(flags.images)
+    for mask in range(1, 1 << len(flags.facets)):
+        want = is_coxeter_matroid(list(Family(flags, mask)))
+        for image in images:
+            flags.images.remove(image)
+            flags.images.insert(0, image)
+            assert is_coxeter_matroid(Family(flags, mask)) == want
+
+
+def test_flag_tuple_universe_tables():
+    flags = FlagTupleUniverse.of(4, 2)
+    assert flags.facets == tuple(all_flag_tuples(4, 2))
+    assert all(flags.id_of[y.entries] == t for t, y in enumerate(flags.facets))
+    assert flags.below == reference_strictly_below_masks(list(flags.facets), OrderKind.CONF)
+    # one id permutation per w in S_4, in lexicographic order of w
+    ws = list(itertools.permutations(range(1, 5)))
+    assert len(flags.images) == len(ws)
+    for w, image in zip(ws, flags.images):
+        for t, y in enumerate(flags.facets):
+            assert image[t] == flags.id_of[tuple(w[v - 1] for v in y.entries)]
+
+
+def test_flag_tuple_universe_bounded_before_listing():
+    # (6, 5) and (6, 6) are the largest shapes a sweep compiles
+    for n, k in [(6, 5), (6, 6)]:
+        flags = FlagTupleUniverse.of(n, k)
+        assert sum(map(len, flags.images)) == 518_400 <= bruhat.FLAG_UNIVERSE_MAX_ENTRIES
+    # (7, 3) would list 5,040 image tuples of 210 ids each
+    with mock.patch.object(bruhat, "all_flag_tuples") as listed:
+        with pytest.raises(ValueError, match=r"bounded at 600000 image ids, got .* = 1058400$"):
+            FlagTupleUniverse.of(7, 3)
+    listed.assert_not_called()
+
+
+def test_flag_family_predicates_outside_the_kernel_raise_like_the_list():
+    flags = compiled_flags(4, 2)
+    with pytest.raises(ValueError, match="empty set"):
+        is_coxeter_matroid(Family(flags, 0))
+    family = Family(flags, 0b1011)
+    assert list(family) == [flags.facets[t] for t in (0, 1, 3)]
+    # the k-subset kernels do not read flag universes: the list path's errors
+    for check in (is_matroid, has_quasi_exchange):
+        with pytest.raises(TypeError, match="expected KSubset facets"):
+            check(family)
+    with pytest.raises(TypeError, match="expected KSubset operands"):
+        is_order_ideal(family, OrderKind.GALE)
+    assert is_order_ideal(family, OrderKind.CONF) == is_order_ideal(list(family), OrderKind.CONF)
 
 
 def _quotient_ideal_cases(kind, n, k, rng):
