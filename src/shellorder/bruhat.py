@@ -16,6 +16,7 @@ whether a tuple happens to be sorted.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -267,16 +268,26 @@ def induced_covers(elements: Iterable, kind: OrderKind) -> set[tuple]:
     not within the ambient quotient: i is covered by j iff i is below j
     and below no t that is itself below j.  O(m·d) for the rows plus
     O(m²) mask operations for m elements with d key coordinates.
+
+    The covers of the last support and kind are kept, so the linear
+    extensions of one support, checked one after another, share them;
+    each call returns its own copy.
     """
-    elems = sorted(set(elements), key=canonical_key)
+    return set(_support_covers(frozenset(elements), kind))
+
+
+@functools.lru_cache(maxsize=1)
+def _support_covers(support: frozenset, kind: OrderKind) -> frozenset:
+    """The covers of ``induced_covers``, kept for the last support."""
+    elems = sorted(support, key=canonical_key)
     below = strictly_below_masks(elems, kind)
-    covers = set()
+    covers = []
     for j, row in enumerate(below):
         deeper = 0
         for t in _bits(row):
             deeper |= below[t]
-        covers.update((elems[i], elems[j]) for i in _bits(row & ~deeper))
-    return covers
+        covers.extend((elems[i], elems[j]) for i in _bits(row & ~deeper))
+    return frozenset(covers)
 
 
 def _gale_lower_covers(x: KSubset) -> Iterator[int]:
@@ -310,7 +321,10 @@ class KSubsetUniverse:
     maps a vertex mask back to its id.  Per id t:
 
     - ``below[t]``: the ids strictly below t in the Gale order;
-    - ``lower[t]``: the ids of t's Gale lower covers;
+    - ``lower_bytes[c][b]``: the ids of the Gale lower covers of the ids
+      8c + i for the bits i of b, one table per 8 ids (the last may be
+      narrower), so a family's lower covers are one lookup per byte of
+      its mask;
     - ``exchange[x]``: the demands of basis exchange on x, as triples
       (1 << y, i, ids of x - i + j for j in y\\x), for every id y and
       every i in x\\y, ascending in y and then in i; x trades i against y
@@ -324,7 +338,7 @@ class KSubsetUniverse:
     masks: tuple[int, ...]
     id_of: dict[int, int]
     below: list[int]
-    lower: list[int]
+    lower_bytes: list[list[int]]
     exchange: list[tuple]
     quasi: list[tuple]
 
@@ -334,6 +348,13 @@ class KSubsetUniverse:
         masks = tuple(x.mask for x in facets)
         id_of = {mask: t for t, mask in enumerate(masks)}
         lower = [sum(1 << id_of[y] for y in _gale_lower_covers(x)) for x in facets]
+        lower_bytes = []
+        for c in range(0, len(facets), 8):
+            # chunk[b] = chunk[b without its top bit i] | lower[c + i]
+            chunk = [0]
+            for row in lower[c : c + 8]:
+                chunk += [entry | row for entry in chunk]
+            lower_bytes.append(chunk)
         exchange, quasi = [], []
         for xm in masks:
             demands, quasi_demands = [], []
@@ -347,7 +368,7 @@ class KSubsetUniverse:
             exchange.append(tuple(demands))
             quasi.append(tuple(quasi_demands))
         below = strictly_below_masks(list(facets), OrderKind.GALE)
-        return cls(facets, masks, id_of, below, lower, exchange, quasi)
+        return cls(facets, masks, id_of, below, lower_bytes, exchange, quasi)
 
 
 # n!·n!/(n-k)! image ids, one per permutation and tuple.  (6, 5) and
@@ -437,15 +458,19 @@ def is_order_ideal(elements: Iterable, kind: OrderKind) -> bool:
     permutation orders: the lower reflections t·x < x, O(|X|·k·(n + k)).
     Nothing outside the set is listed.  A ``Family`` of a
     ``KSubsetUniverse`` under the Gale order is decided on its
-    universe's lower-cover id masks, one AND per member.
+    universe's ``lower_bytes``, one lookup per byte of its mask.
     """
     if (
         isinstance(elements, Family)
         and isinstance(elements.universe, KSubsetUniverse)
         and kind is OrderKind.GALE
     ):
-        lower, family = elements.universe.lower, elements.mask
-        return all(not lower[t] & ~family for t in _bits(family))
+        family = rest = elements.mask
+        needed = 0
+        for chunk in elements.universe.lower_bytes:
+            needed |= chunk[rest & 255]
+            rest >>= 8
+        return not needed & ~family
     elems = list(set(elements))
     if not elems:
         return True

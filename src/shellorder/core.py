@@ -92,6 +92,17 @@ class FlagTuple:
             raise ValueError(f"entries {entries} not within [{self.n}]")
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _trusted(cls, n: int, entries: tuple) -> "FlagTuple":
+        """Wrap ``entries`` without re-validating them.
+
+        Only for a tuple of distinct values of [n] known as such: an
+        ordering of a validated ``KSubset``'s members (``barycentric``)."""
+        y = object.__new__(cls)
+        object.__setattr__(y, "n", n)
+        object.__setattr__(y, "entries", entries)
+        return y
+
     def is_permutation(self) -> bool:
         return len(self.entries) == self.n
 

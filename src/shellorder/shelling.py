@@ -299,50 +299,54 @@ def _tally_orders(
     rejected candidate, whose branch is pruned).
 
     The walk below a prefix depends only on its set U, an order ideal, so
-    a DP over the ideals reached from the empty set gives every count:
-    over the candidates t of U, an accepted t adds the counts of U + t
-    and a rejected t adds one check and one rejection; the full set
-    counts one check.  The first rejected prefix is found by a descent
-    in ascending index into the first rejected candidate or the first
-    accepted one whose ideal counts a rejection: the depth-first visit
-    order.  The DP is a memoized recursion, one level per placed index,
-    so its depth is at most the family size: C(6, 3) = 20 for k-subset
-    families and ``suites.FAMILY_MAX_BITS`` (30) for CONF down-sets.  The
-    work is one ``_append_ok`` per candidate of each ideal reached.
+    one forward pass over the ideals, level by level, gives every count:
+    with f(U) the number of accepted paths from the empty set to U, each
+    candidate t of U is tested once; an accepted t adds f(U) to
+    f(U + t) and a rejected one adds f(U) rejections.  The checks are
+    f(full) plus the rejections.  When there are rejections, a
+    depth-first descent in ascending index, over the accepted moves and
+    skipping ideals already found clean, meets the first rejected prefix
+    in the walk's visit order; it recurses once per placed index, so at
+    most the family size deep.  The work is one ``_append_ok`` per
+    candidate of each ideal reached.
     """
-    members = list(_bits(full))
-    moves: dict[int, list[tuple[int, bool]]] = {}  # ideal -> (candidate, accepted)
-
-    @functools.cache
-    def counts(used: int) -> tuple[int, int]:  # (checks, rejections) below used
-        if used == full:
-            return 1, 0
-        rest = full ^ used
-        moves[used] = step = [
-            (t, _append_ok(used, tables[t]))
-            for t in members
-            if rest >> t & 1 and not below[t] & rest
-        ]
-        checks = rejections = 0
-        for t, ok in step:
-            c, r = counts(used | 1 << t) if ok else (1, 1)
-            checks += c
-            rejections += r
-        return checks, rejections
-
-    checks, rejections = counts(0)
+    rows = [(t, 1 << t, below[t], tables[t]) for t in _bits(full)]
+    paths = {0: 1}  # f over the ideals of one level
+    rejected: dict[int, int] = {}  # ideal -> bits of its rejected candidates
+    rejections = 0
+    for _ in rows:
+        grown: dict[int, int] = {}
+        for used, count in paths.items():
+            rest = full ^ used
+            for t, bit, need, row in rows:
+                if rest & bit and not need & rest:
+                    if _append_ok(used, row):
+                        up = used | bit
+                        grown[up] = grown.get(up, 0) + count
+                    else:
+                        rejections += count
+                        rejected[used] = rejected.get(used, 0) | bit
+        paths = grown
+    checks = paths.get(full, 0) + rejections
     if not rejections:
         return checks, 0, None
-    prefix: list[int] = []
-    used = 0
-    while True:
-        for t, ok in moves[used]:
-            if not ok:
-                return checks, rejections, prefix + [t]
-            if counts(used | 1 << t)[1]:
-                prefix.append(t)
-                used |= 1 << t
-                break
+    clean: set[int] = set()
+
+    def descend(used: int) -> Optional[list[int]]:  # reversed, from used on
+        rest = full ^ used
+        for t, bit, need, _ in rows:
+            if rest & bit and not need & rest:
+                if rejected.get(used, 0) & bit:
+                    return [t]
+                if used | bit not in clean:
+                    tail = descend(used | bit)
+                    if tail is not None:
+                        tail.append(t)
+                        return tail
+        clean.add(used)
+        return None
+
+    return checks, rejections, descend(0)[::-1]
 
 
 def shelling_orders(complex_: PureComplex) -> Iterator[FacetSequence]:

@@ -46,11 +46,15 @@ def barycentric(complex_: PureComplex) -> set[FlagTuple]:
             f"barycentric subdivisions are bounded at {BARYCENTRIC_MAX_TUPLES} "
             f"tuples, got |X|·k! = {len(facets)}·{k}! = {tuples}"
         )
-    out: set[FlagTuple] = set()
-    for facet in facets:
-        for arrangement in itertools.permutations(facet.members):
-            out.add(FlagTuple(facet.n, arrangement))
-    return out
+    if facets and not len(facets[0]):  # the facets share one size
+        raise ValueError(f"tuple length 0 not within [1, {facets[0].n}]")
+    # each ordering of a nonempty validated facet's members is a valid tuple
+    trusted = FlagTuple._trusted
+    return {
+        trusted(facet.n, arrangement)
+        for facet in facets
+        for arrangement in itertools.permutations(facet.members)
+    }
 
 
 def flag_facet(y: FlagTuple) -> FlagVertexFacet:

@@ -801,6 +801,44 @@ def test_family_is_checked_at_construction():
     assert list(Family(universe, 0)) == []
 
 
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (5, 3), (6, 3)])
+def test_lower_byte_tables_or_the_lower_covers_of_each_byte(n, k):
+    # m = 6, 10, 10 and 20 ids: the last table of each is narrower than 8
+    universe = compiled_universe(n, k)
+    m = len(universe.facets)
+    lower = [0] * m  # the ids of each id's lower covers in the whole quotient
+    for a, b in reference_induced_covers(universe.facets, OrderKind.GALE):
+        lower[universe.id_of[b.mask]] |= 1 << universe.id_of[a.mask]
+    assert len(universe.lower_bytes) == -(-m // 8)
+    for c, chunk in enumerate(universe.lower_bytes):
+        ids = range(8 * c, min(8 * c + 8, m))
+        assert len(chunk) == 1 << len(ids)
+        for b, entry in enumerate(chunk):
+            want = 0
+            for t in ids:
+                if b >> (t - 8 * c) & 1:
+                    want |= lower[t]
+            assert entry == want
+
+
+def test_family_down_set_test_matches_the_list_path_on_seeded_wide_families():
+    # (6, 3) has 20 ids, three byte tables; every down-set, each down-set
+    # less one seeded member, and seeded masks.  Every family of (5, 2)
+    # and (5, 3) is compared in the test of all family verdicts above
+    universe = compiled_universe(6, 3)
+    rng = random.Random(23)
+    ideals = [mask for mask in bruhat.order_ideals(universe.below) if mask]
+    masks = ideals + [mask ^ 1 << rng.choice(list(_bits(mask))) for mask in ideals]
+    masks += [rng.getrandbits(20) for _ in range(2_000)]
+    verdicts = []
+    for mask in masks:
+        family = Family(universe, mask)
+        verdicts.append(is_order_ideal(family, OrderKind.GALE))
+        assert verdicts[-1] == is_order_ideal(list(family), OrderKind.GALE)
+    assert verdicts[: len(ideals)] == [True] * len(ideals)
+    assert False in verdicts[len(ideals) :] and True in verdicts[len(ideals) :]
+
+
 # --- the order kernels against pairwise leq --------------------------------
 
 
@@ -1146,6 +1184,80 @@ def test_order_kernels_reject_malformed_lists(kind, elems, error, pairwise_error
         is_order_ideal(elems, kind)
 
 
+# --- the covers of the last support, kept between calls --------------------
+
+
+@pytest.fixture
+def fresh_covers():
+    """An empty covers memo before and after a test that counts or
+    patches what ``induced_covers`` calls."""
+    bruhat._support_covers.cache_clear()
+    yield
+    bruhat._support_covers.cache_clear()
+
+
+def test_covers_memo_hands_out_a_fresh_set_each_call():
+    support = list(all_ksubsets(5, 2))
+    want = reference_induced_covers(support, OrderKind.GALE)
+    first = induced_covers(support, OrderKind.GALE)
+    assert first == want
+    first.pop()
+    first.add((support[0], support[0]))
+    second = induced_covers(support, OrderKind.GALE)
+    assert second == want and second is not first
+    second.clear()
+    assert induced_covers(support, OrderKind.GALE) == want
+
+
+@pytest.mark.parametrize("kind, elems, error, _", MALFORMED)
+def test_covers_memo_keeps_no_error(kind, elems, error, _):
+    for _ in range(2):
+        with pytest.raises(error):
+            induced_covers(elems, kind)
+
+
+def test_covers_memo_is_keyed_on_equal_supports_and_the_kind():
+    tuples = [FlagTuple(4, p) for p in itertools.permutations(range(1, 5), 2)]
+    copies = [FlagTuple(4, y.entries) for y in reversed(tuples)]
+    want = reference_induced_covers(tuples, OrderKind.CONF)
+    assert induced_covers(tuples, OrderKind.CONF) == want
+    assert induced_covers(set(copies), OrderKind.CONF) == want
+    # the same tuples under PERM: not full permutations
+    with pytest.raises(ValueError):
+        induced_covers(copies, OrderKind.PERM)
+    perms = [FlagTuple(3, p) for p in itertools.permutations(range(1, 4))]
+    for kind in (OrderKind.CONF, OrderKind.PERM, OrderKind.CONF):
+        assert induced_covers(perms, kind) == reference_induced_covers(perms, kind)
+    subsets = list(all_ksubsets(4, 2))
+    assert induced_covers(subsets, OrderKind.GALE) == reference_induced_covers(
+        subsets, OrderKind.GALE
+    )
+    # the same subsets under CONF: not flag tuples
+    with pytest.raises(TypeError):
+        induced_covers(subsets, OrderKind.CONF)
+
+
+def test_extensions_of_one_support_share_its_covers(monkeypatch, fresh_covers):
+    support = [y for y in all_ksubsets(5, 2) if gale_leq(y, KSubset(5, (3, 5)))]
+    orders = list(linear_extensions(support, OrderKind.GALE))
+    want = []
+    for seq in orders:
+        position = {item: i + 1 for i, item in enumerate(seq.items)}
+        covers = reference_induced_covers(support, OrderKind.GALE)
+        graph = LabeledGraph(len(seq), [(position[a], position[b]) for a, b in covers])
+        want.append(apply_positions(promotion_permutation(graph), seq))
+    rows = []
+    honest = bruhat.strictly_below_masks
+
+    def counted(elems, kind):
+        rows.append(len(elems))
+        return honest(elems, kind)
+
+    monkeypatch.setattr(bruhat, "strictly_below_masks", counted)
+    assert [promote(seq, GraphKind.HASSE) for seq in orders] == want
+    assert len(orders) > 1 and rows == [len(support)]
+
+
 def _refuse_construction(monkeypatch, cls):
     """Make every later ``cls(...)`` raise: a test that a kernel lists
     nothing of the ambient quotient, which would build its elements."""
@@ -1217,6 +1329,21 @@ def test_appending_swap_builds_no_validated_sequence(monkeypatch):
     # the swap of a validated order is wrapped, not validated again
     _refuse_construction(monkeypatch, FacetSequence)
     assert [check_appending_swap(C) for C in corpus + (broken,)] == want
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (5, 3)])
+def test_barycentric_builds_no_validated_tuple(monkeypatch, n, k):
+    universe = compiled_universe(n, k)
+    m = len(universe.facets)
+    rng = random.Random(n * 10 + k)
+    masks = [(1 << m) - 1] + [rng.randrange(1, 1 << m) for _ in range(100)]
+    complexes = [PureComplex.of(Family(universe, mask)) for mask in masks]
+    want = [
+        {FlagTuple(n, p) for x in X for p in itertools.permutations(x.members)}
+        for X in complexes
+    ]
+    _refuse_construction(monkeypatch, FlagTuple)
+    assert [barycentric(X) for X in complexes] == want
 
 
 # --- the per-family sweep kernels against recursions and per-pair scans ------

@@ -8,6 +8,7 @@ from shellorder import (
     FacetSequence,
     FlagTuple,
     FlagVertexFacet,
+    KSubset,
     PureComplex,
     all_flag_tuples,
     all_ksubsets,
@@ -74,6 +75,11 @@ class TestBarycentric:
         # barycentric-coxeter (6, 3) subdivides all 20 facets: 120 tuples
         assert len(barycentric(PureComplex.of(all_ksubsets(6, 3)))) == 120
         assert subdivision.BARYCENTRIC_MAX_TUPLES == 100_000
+
+    def test_empty_facet_has_no_tuple(self):
+        # the one ordering of the empty facet is no flag tuple
+        with pytest.raises(ValueError, match=r"^tuple length 0 not within \[1, 3\]$"):
+            barycentric(PureComplex.of({KSubset(3, ())}))
 
 
 class TestFlagComplex:
