@@ -313,7 +313,6 @@ def _lower_reflections(x: FlagTuple) -> Iterator[tuple]:
                 yield head + (a,) + tail[:j] + (b,) + tail[j + 1 :]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class KSubsetUniverse:
     """Every k-subset of [n], compiled once for the predicates that read a
     ``Family``.  A facet's id is its index in ``facets``, which are
@@ -332,15 +331,23 @@ class KSubsetUniverse:
     - ``quasi[x]``: the triples of ``exchange[x]`` with i > max(y\\x),
       the demands of quasi-exchange.
 
-    Built once per sweep; the tables take O(C(n, k)²·k²) integers."""
+    Built once per sweep; the tables take O(C(n, k)²·k²) integers.  A
+    table, compared by identity, as ``FlagTupleUniverse`` is."""
 
-    facets: tuple[KSubset, ...]
-    masks: tuple[int, ...]
-    id_of: dict[int, int]
-    below: list[int]
-    lower_bytes: list[list[int]]
-    exchange: list[tuple]
-    quasi: list[tuple]
+    __slots__ = ("facets", "masks", "id_of", "below", "lower_bytes", "exchange", "quasi")
+
+    def __init__(
+        self,
+        facets: tuple[KSubset, ...],
+        masks: tuple[int, ...],
+        id_of: dict[int, int],
+        below: list[int],
+        lower_bytes: list[list[int]],
+        exchange: list[tuple],
+        quasi: list[tuple],
+    ) -> None:
+        self.facets, self.masks, self.id_of, self.below = facets, masks, id_of, below
+        self.lower_bytes, self.exchange, self.quasi = lower_bytes, exchange, quasi
 
     @classmethod
     def of(cls, n: int, k: int) -> "KSubsetUniverse":

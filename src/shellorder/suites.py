@@ -35,6 +35,7 @@ from .core import (
     KSubset,
     PureComplex,
     _bits,
+    _check_universe,
     all_flag_tuples,
     all_ksubsets,
     canonical_key,
@@ -73,6 +74,14 @@ SEEDED_MAX_FACETS = 10_000  # seeded corpora list all C(n, k) facets
 # (Build times: median of fresh processes on a 2-vCPU x86-64 VM, CPython
 # 3.11.)  The bound caps a seeded corpus's sample count too.
 EXHAUSTIVE_MAX_ORDERS = 400_000
+# remark-bruhat-graph checks the C(m, 2) pairs of the m = C(n, k) facets,
+# bounded before any facet is listed, and not n.  Most of its time goes
+# to each facet's images under the C(n, 2) transpositions: (64, 63) and
+# (30, 28), the slowest shapes inside, take 2.4 and 2.1 s at --jobs 1,
+# (30, 2) (94,395 pairs) 1.5 s, (9, 4) 0.03 s; (11, 5), with 106,491
+# pairs, is the first shape past it (median of three runs, 2-vCPU x86-64
+# VM, CPython 3.11).
+REMARK_MAX_PAIRS = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,8 +227,10 @@ def _sweep(suite: str, setup, shape: tuple, jobs: int) -> RunReport:
     started = time.perf_counter()
     try:
         instances, items, _ = _CHECKS[setup, shape] = setup(*shape)
-        if not items:
-            # an empty universe, as at k > n; corpora have their own guards
+        if not items and instances <= 1:
+            # an empty universe, as at k > n; corpora have their own guards.
+            # remark-bruhat-graph checks pairs, so one facet leaves it two
+            # families but no item, and a report of 0 checks
             raise ValueError(f"{suite} has no families to sweep at n = {n}, k = {k}")
         args = [(setup, shape, lo, hi) for lo, hi in _chunks(len(items))]
         checks, failures, first = _sum_tallies(_run_chunked(_chunk, args, jobs))
@@ -578,9 +589,25 @@ def _transposition_neighbors(y: KSubset) -> set[KSubset]:
 
 
 def _remark_setup(n: int, k: int):
-    universe, instances, families = _ksubset_universe(n, k)
-    facets, below = universe.facets, universe.below
+    # the pairs are counted before any facet is listed.  k > n has no
+    # facet, and ``_sweep`` refuses its one empty family; otherwise a
+    # k-subset of [n] needs n <= MAX_UNIVERSE, which also keeps C(n, k)
+    # cheap to count
+    if k > n:
+        return 1, [], None
+    _check_universe(n)
+    m = math.comb(n, k)
+    pairs = math.comb(m, 2)
+    if pairs > REMARK_MAX_PAIRS:
+        raise ValueError(
+            f"facet pairs are bounded at {REMARK_MAX_PAIRS}, got "
+            f"C(C(n, k), 2) = C({m}, 2) = {pairs} at n = {n}, k = {k}"
+        )
+    facets = list(all_ksubsets(n, k))
+    below = strictly_below_masks(facets, OrderKind.GALE)
     exchange = {y: _transposition_neighbors(y) for y in facets}
+    instances = 1 << m
+    families = instances >> 2  # a pair lies in a quarter of the families
 
     def verdict(s: int, t: int) -> Optional[str]:
         a, b = facets[s], facets[t]
@@ -591,25 +618,26 @@ def _remark_setup(n: int, k: int):
             return f"ridge pair ({_fmt_facet(a)},{_fmt_facet(b)}) incomparable"
         return None
 
-    # a pair's verdict depends on the pair alone: judge each pair once,
-    # in the order ``combinations`` visits them in any family
-    bad = []
-    for s, t in itertools.combinations(range(len(facets)), 2):
-        message = verdict(s, t)
-        if message is not None:
-            bad.append((1 << s | 1 << t, message))
+    def check(pair: tuple[int, int]) -> tuple[int, int, Optional[str]]:
+        bad = verdict(*pair)
+        return families, families if bad else 0, bad
 
-    def check(mask: int) -> tuple[int, int, Optional[str]]:
-        inside = [message for pair, message in bad if mask & pair == pair]
-        size = mask.bit_count()
-        return size * (size - 1) // 2, len(inside), inside[0] if inside else None
-
-    return instances, families, check
+    return instances, [(s, t) for t in range(m) for s in range(t)], check
 
 
 def remark_bruhat_graph(n: int, k: int, jobs: int = 1) -> RunReport:
     """Dual-graph edges must be exactly the single-exchange (reflection)
-    pairs, and every edge must join comparable facets."""
+    pairs, and every edge must join comparable facets, in every family of
+    the m = C(n, k) k-subsets of [n].
+
+    A pair's verdict depends on the pair alone, so the sweep checks the
+    C(m, 2) pairs, bounded by ``REMARK_MAX_PAIRS``, and not the 2^m
+    families it reports as instances.  Each pair lies in 2^(m-2) of the
+    families: it counts that many checks, and as many failures when it
+    is bad.  The first family in ascending mask order that holds a bad
+    pair is the bad pair with the least mask 1 << s | 1 << t, on its own,
+    so the pairs are visited in ascending mask (t, then s) and the first
+    counterexample is the first bad pair's message."""
     return _sweep("remark-bruhat-graph", _remark_setup, (n, k), jobs)
 
 

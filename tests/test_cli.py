@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -226,6 +228,18 @@ class TestCommands:
         assert main(["check-coxeter-matroid", path]) == 0
         bad = write(tmp_path, "z.txt", "n=4 mode=tuple\n1 3\n3 1\n2 4\n4 2\n")
         assert main(["check-coxeter-matroid", bad]) == 1
+
+    def test_check_coxeter_matroid_refuses_all_of_s7(self, tmp_path, capsys):
+        # 5040·7! image points, past the sweep's bound
+        lines = "".join(" ".join(map(str, w)) + "\n" for w in itertools.permutations(range(1, 8)))
+        path = write(tmp_path, "s7.txt", "n=7 mode=tuple\n" + lines)
+        assert main(["check-coxeter-matroid", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: the S_n sweep is bounded at 3000000 image points, "
+            "got |X|·n! = 5040·7! = 25401600\n"
+        )
+        assert captured.out == ""
 
     def test_check_coxeter_matroid_sorted_mode(self, tmp_path):
         path = write(
@@ -597,6 +611,56 @@ class TestVerifyCommand:
             f"30 elements, got {size} at n = {n}, k = {k}\n"
         )
         assert captured.out == ""
+
+    def test_remark_past_n_six_runs(self, capsys):
+        # the pair sweep is bounded by its C(35, 2) pairs, not by n
+        assert main(["verify", "remark-bruhat-graph", "--n", "7", "--k", "3"]) == 0
+        out = capsys.readouterr().out
+        assert f"instances: {2**35}\n" in out
+        assert f"checks: {math.comb(35, 2) * 2**33}\n" in out
+        assert "failed: 0\n" in out
+
+    def test_remark_past_the_pair_bound_rejected(self, capsys):
+        # (11, 5) is the first shape, by n and then k, past the bound
+        inside = [
+            math.comb(math.comb(n, k), 2) <= suites.REMARK_MAX_PAIRS
+            for n in range(1, 12)
+            for k in range(1, n + 1)
+        ]
+        assert inside.index(False) == sum(range(1, 11)) + 4
+        started = time.perf_counter()
+        assert main(["verify", "remark-bruhat-graph", "--n", "11", "--k", "5"]) == 2
+        assert time.perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: facet pairs are bounded at 100000, got "
+            "C(C(n, k), 2) = C(462, 2) = 106491 at n = 11, k = 5\n"
+        )
+        assert captured.out == ""
+        # one facet has no pair, but a k-subset still needs n <= 64; the
+        # universe is refused before its range is listed
+        for n in ("65", "1000000000"):
+            assert main(["verify", "remark-bruhat-graph", "--n", n, "--k", n]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error: universe size {n} exceeds the supported bound of 64\n"
+            )
+        # past k = n there is no facet, whatever n: no range is listed
+        assert main(
+            ["verify", "remark-bruhat-graph", "--n", "1000000000", "--k", "1000000001"]
+        ) == 2
+        assert capsys.readouterr().err == (
+            "error: remark-bruhat-graph has no families to sweep at "
+            "n = 1000000000, k = 1000000001\n"
+        )
+        assert time.perf_counter() - started < 1
+
+    def test_remark_one_facet_has_no_checks(self, capsys):
+        # two families, the empty one and the facet, and no pair to check
+        assert main(["verify", "remark-bruhat-graph", "--n", "3", "--k", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "suite: remark-bruhat-graph\ninstances: 2\nchecks: 0\npassed: 0\nfailed: 0\n"
+        )
 
     def test_conf_ideals_at_the_universe_bound_runs(self, capsys):
         # 30 flag tuples: 2^30 subsets counted, their 297 down-sets checked

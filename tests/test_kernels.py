@@ -17,8 +17,8 @@ predicates for their path on families of a compiled universe, pairwise
 greatest-element scan, the scan of the whole ambient
 quotient for the local down-set test, and, for the per-family kernels of
 the subset sweeps, the extension walk for the DP over order ideals and
-the per-pair scan for the pair table, the closure test of every one of
-the 2^m masks for the down-set enumerator, pairwise ``leq`` on every
+the per-family sweep for the pair scan of ``remark-bruhat-graph``, the
+closure test of every one of the 2^m masks for the down-set enumerator, pairwise ``leq`` on every
 shifted image for the Coxeter maximality sweep, and both that scan and
 the list path for the maximality check on a compiled flag-tuple
 universe. Sequences are random
@@ -87,7 +87,6 @@ from shellorder.shelling import (
 from shellorder.subdivision import barycentric, flag_facet
 from shellorder.suites import (
     _fmt_seq,
-    _tally,
     check_appending_swap,
     exhaustive_corpus,
     random_corpus,
@@ -1428,7 +1427,10 @@ def test_extension_sweeps_match_the_recursion(monkeypatch, sweep, n, k):
 
 
 def reference_remark_setup(n, k):
-    """The per-pair scan that the pair table replaced."""
+    """The per-family sweep that the pair scan replaced: every nonempty
+    family of the k-subsets of [n] counts its pairs as checks and the
+    bad pairs it holds as failures, the first of them in ``combinations``
+    order as its counterexample.  Each pair is judged once."""
     facets = list(all_ksubsets(n, k))
     exchange = {y: suites._transposition_neighbors(y) for y in facets}
     below = strictly_below_masks(facets, OrderKind.GALE)
@@ -1443,8 +1445,16 @@ def reference_remark_setup(n, k):
             return f"ridge pair {pair} incomparable"
         return None
 
+    bad = [
+        (1 << s | 1 << t, message)
+        for s, t in itertools.combinations(range(len(facets)), 2)
+        if (message := verdict(s, t)) is not None
+    ]
+
     def check(mask):
-        return _tally(itertools.starmap(verdict, itertools.combinations(_bits(mask), 2)))
+        inside = [message for pair, message in bad if mask & pair == pair]
+        size = mask.bit_count()
+        return size * (size - 1) // 2, len(inside), inside[0] if inside else None
 
     return 1 << len(facets), range(1, 1 << len(facets)), check
 
@@ -1459,19 +1469,26 @@ def _broken_neighbors(drop):
     return broken
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("n, k, drop", [(4, 2, 0), (5, 2, 2), (5, 3, 5), (6, 2, 1)])
-def test_pair_table_matches_per_pair_scan(monkeypatch, n, k, drop, jobs):
+# (n, k, drop) at which a mutant is known to fail
+_FAILING_MUTANTS = {(4, 2, 0), (5, 2, 2), (5, 3, 5), (6, 2, 1)}
+
+
+@pytest.mark.parametrize("drop", [None, 0, 1, 2, 5], ids=lambda d: f"drop{d}")
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 7) for k in range(1, n + 1)])
+def test_pair_sweep_matches_per_family_scan(monkeypatch, n, k, drop):
+    # every shape with n <= 6, one-facet universes (k = n) among them,
+    # with the honest neighbours (drop None) and with broken ones
     fork_pool(monkeypatch)
-    monkeypatch.setattr(suites, "_transposition_neighbors", _broken_neighbors(drop))
-    table, scan = suites._remark_setup(n, k)[2], reference_remark_setup(n, k)[2]
-    for mask in range(1, 1 << min(math.comb(n, k), 10)):
-        assert table(mask) == scan(mask)
-    got = _report(suites.remark_bruhat_graph(n, k, jobs=jobs))
+    if drop is not None:
+        monkeypatch.setattr(suites, "_transposition_neighbors", _broken_neighbors(drop))
+    got = [_report(suites.remark_bruhat_graph(n, k, jobs=jobs)) for jobs in (1, 2)]
     monkeypatch.setattr(suites, "_remark_setup", reference_remark_setup)
-    want = _report(suites.remark_bruhat_graph(n, k, jobs=jobs))
-    assert got == want
-    assert got[2] > 0
+    want = _report(suites.remark_bruhat_graph(n, k))
+    assert got == [want, want]
+    if drop is None:
+        assert want[2] == 0
+    if (n, k, drop) in _FAILING_MUTANTS:
+        assert want[2] > 0
 
 
 def reference_greatest(keys):

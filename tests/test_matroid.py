@@ -1,4 +1,5 @@
 import itertools
+import math
 from random import Random
 
 import pytest
@@ -15,6 +16,7 @@ from shellorder import (
     shift,
     underlying_flag_matroid,
 )
+from shellorder import matroid
 from shellorder.bruhat import OrderKind, _dominance_key, _greatest, leq
 
 from conftest import make_ksubset as ks
@@ -114,6 +116,19 @@ class TestCoxeterMatroid:
     def test_guard(self):
         with pytest.raises(ValueError):
             is_coxeter_matroid({KSubset(9, (1, 2))})
+
+    def test_point_bound_admits_every_ksubset_family_up_to_n_8(self):
+        # all 4-subsets of [8], the largest such family: 70·8! points
+        assert 70 * math.factorial(8) <= matroid.MAXIMALITY_MAX_POINTS
+        assert is_coxeter_matroid(list(all_ksubsets(8, 4)))
+
+    def test_point_bound_is_inclusive(self, monkeypatch):
+        X = list(all_ksubsets(4, 2))
+        monkeypatch.setattr(matroid, "MAXIMALITY_MAX_POINTS", 6 * 24)
+        assert is_coxeter_matroid(X)
+        monkeypatch.setattr(matroid, "MAXIMALITY_MAX_POINTS", 6 * 24 - 1)
+        with pytest.raises(ValueError, match="got \\|X\\|·n! = 6·4! = 144"):
+            is_coxeter_matroid(X)
 
     def test_maximality_equals_exchange_small(self):
         for n, k in [(4, 2), (4, 3)]:
