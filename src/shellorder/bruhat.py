@@ -327,7 +327,9 @@ class KSubsetUniverse:
     - ``exchange[x]``: the demands of basis exchange on x, as triples
       (1 << y, i, ids of x - i + j for j in y\\x), for every id y and
       every i in x\\y, ascending in y and then in i; x trades i against y
-      inside a family F iff ``ids & F``;
+      inside a family F iff ``ids & F``.  A demand whose ids hold y
+      itself (y = x - i + j, one element away from x) holds in every
+      family that holds y, so it is left out;
     - ``quasi[x]``: the triples of ``exchange[x]`` with i > max(y\\x),
       the demands of quasi-exchange.
 
@@ -369,6 +371,8 @@ class KSubsetUniverse:
                 gain = ym & ~xm
                 for i in _bits(xm & ~ym):
                     ids = sum(1 << id_of[xm ^ 1 << i | 1 << j] for j in _bits(gain))
+                    if ids >> y & 1:  # y = x - i + j is its own partner
+                        continue
                     demands.append((1 << y, i + 1, ids))
                     if i + 1 > gain.bit_length():  # i > max(y\x)
                         quasi_demands.append(demands[-1])

@@ -27,6 +27,10 @@ from .core import (
 # of distinct facets does not grow the cache.
 _RIDGE_CACHE_SIZE = 4096
 
+# Pair-scan dual graphs whose rows are kept, keyed on their facet masks
+# (see ``_pair_rows``); a fixed bound, so a sweep does not grow the cache.
+_PAIR_ROWS_CACHE_SIZE = 256
+
 # One facet's row of ``_append_tables``: a (ridge holders, vertex
 # holders) pair of index bits per vertex.
 _AppendRow = tuple[tuple[int, int], ...]
@@ -396,18 +400,14 @@ def dual_graph(seq: FacetSequence) -> LabeledGraph:
     table's 2·h·k steps.  Timed per graph on prefixes of grown and random
     k-subset sequences, the two forms break even near h = 13 for k = 2,
     21–24 for k = 3, 29–39 for k = 4 and 41–49 for k = 5: about 7k–10k.
+    The pair scan's rows are kept for recent mask tuples (``_pair_rows``);
+    each call still wraps them in a graph of its own.
     """
     masks, k = facet_masks(seq.items)
     h = len(masks)
-    rows = [0] * (h + 1)
     if h <= 8 * k:
-        for i in range(1, h):
-            mask, bit = masks[i - 1], 1 << i
-            for j in range(i + 1, h + 1):
-                if (mask & masks[j - 1]).bit_count() == k - 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= bit
-        return LabeledGraph._of_rows(h, rows)
+        return LabeledGraph._of_rows(h, _pair_rows(tuple(masks), k))
+    rows = [0] * (h + 1)
     holders: dict[int, int] = {}  # ridge mask -> bits of the positions holding it
     get = holders.get
     ridges: list[tuple[int, ...]] = []  # the ridge masks of each position
@@ -423,6 +423,41 @@ def dual_graph(seq: FacetSequence) -> LabeledGraph:
             row |= holders[ridge]
         rows[j] = row & ~(1 << j)
     return LabeledGraph._of_rows(h, rows)
+
+
+@functools.lru_cache(maxsize=_PAIR_ROWS_CACHE_SIZE)
+def _pair_rows(masks: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The adjacency rows of ``dual_graph`` by the pair scan, for facet
+    masks in sequence order.  The graph depends on the masks and k alone,
+    so interned flag-vertex masks are served as well as KSubset masks.
+
+    The corpus checks build the same short graphs again and again: the
+    involution check of ``evacuation-shell`` repeats the prefixes of its
+    evacuation, and an elementary move that does not swap hands its
+    sequence on unchanged.  Over one pass of the benchmark's corpus
+    workload, 256 entries answer 72% of the calls (81% in
+    ``evacuation-shell`` on the exhaustive corpus) and 64 answer 70%.
+    256 is far below the ~28,000 distinct tuples of a pass, so a suite
+    is hardly served by an earlier one (21 of the 217,582 hits); at
+    16,384 or more, ``promotion-shell`` would fill the cache for
+    ``evacuation-shell``, which one CLI run, checking one suite, never
+    sees.
+
+    Only the pair scan is kept: the long orders of the ridge-table form
+    do not repeat their prefixes, and an entry holds at most 8k masks
+    and 8k + 1 rows.  That is under 1 KiB in the corpus (k = 3); 256
+    entries of 496 62-subsets of [64], the largest pair-scan graphs of a
+    k-subset input, take about 17 MiB.  Interned flag-vertex masks grow
+    with h·k; only API callers pass flag-vertex sequences here."""
+    h = len(masks)
+    rows = [0] * (h + 1)
+    for i in range(1, h):
+        mask, bit = masks[i - 1], 1 << i
+        for j in range(i + 1, h + 1):
+            if (mask & masks[j - 1]).bit_count() == k - 1:
+                rows[i] |= 1 << j
+                rows[j] |= bit
+    return tuple(rows)
 
 
 def relabel(sigma: FlagTuple, seq: FacetSequence) -> FacetSequence:

@@ -26,12 +26,10 @@ from .bruhat import (
     induced_covers,
     is_order_ideal,
     order_ideals,
-    prefix_projection,
     strictly_below_masks,
 )
 from .core import (
     FacetSequence,
-    FlagTuple,
     KSubset,
     PureComplex,
     _bits,
@@ -76,11 +74,11 @@ SEEDED_MAX_FACETS = 10_000  # seeded corpora list all C(n, k) facets
 EXHAUSTIVE_MAX_ORDERS = 400_000
 # remark-bruhat-graph checks the C(m, 2) pairs of the m = C(n, k) facets,
 # bounded before any facet is listed, and not n.  Most of its time goes
-# to each facet's images under the C(n, 2) transpositions: (64, 63) and
-# (30, 28), the slowest shapes inside, take 2.4 and 2.1 s at --jobs 1,
-# (30, 2) (94,395 pairs) 1.5 s, (9, 4) 0.03 s; (11, 5), with 106,491
-# pairs, is the first shape past it (median of three runs, 2-vCPU x86-64
-# VM, CPython 3.11).
+# to each facet's images under the C(n, 2) transpositions, k swapped
+# entries each: (64, 63) and (30, 28), the slowest shapes inside, take
+# 1.0 and 0.8 s at --jobs 1, (30, 2) (94,395 pairs) 0.3 s, (9, 4) 0.04 s;
+# (11, 5), with 106,491 pairs, is the first shape past it (median of
+# three runs, 2-vCPU x86-64 VM, CPython 3.11).
 REMARK_MAX_PAIRS = 100_000
 
 
@@ -574,18 +572,16 @@ def hasse_vs_dual(n: int, k: int, jobs: int = 1) -> RunReport:
 
 def _transposition_neighbors(y: KSubset) -> set[KSubset]:
     """Images of y under every transposition, through the permutation
-    completion: the independent route to ridge adjacency."""
-    n = y.n
-    w = canonical_completion(y)
-    k = len(y)
-    out: set[KSubset] = set()
+    completion: the independent route to ridge adjacency.  Only the
+    completion's first k entries are projected, so the swap is applied
+    to them alone, and each distinct image becomes one KSubset."""
+    n, k = y.n, len(y)
+    head = canonical_completion(y).entries[:k]
+    images = set()
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
-            swapped = tuple(
-                q if v == p else p if v == q else v for v in w.entries
-            )
-            out.add(prefix_projection(FlagTuple(n, swapped), k))
-    return out
+            images.add(frozenset(q if v == p else p if v == q else v for v in head))
+    return {KSubset(n, tuple(image)) for image in images}
 
 
 def _remark_setup(n: int, k: int):

@@ -350,6 +350,45 @@ def test_dual_graph_matches_pair_scan(seq):
     assert repr(dual_graph(seq)) == repr(LabeledGraph(len(seq), sorted(edges)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(any_sequences, wide_ksubset_sequences(), flag_sequences(max_size=40)),
+    st.randoms(use_true_random=False),
+)
+def test_memoized_pair_rows_match_pair_scan(seq, rng):
+    # the memo holds rows per mask tuple in sequence order: a permutation
+    # of the same facets and each prefix must get rows of their own, and
+    # a repeated sequence is served from the memo
+    shelling._pair_rows.cache_clear()
+    k = len(seq.items[0])
+    items = seq.items[: max(1, 8 * k)]  # the pair-scan form
+    shuffled = list(items)
+    rng.shuffle(shuffled)
+    for r in range(len(items), 0, -1):
+        for facets in (items[:r], tuple(shuffled[:r]), items):
+            part = FacetSequence(facets)
+            assert dual_graph(part).rows == reference_dual_graph(part)[1]
+    if k:
+        assert shelling._pair_rows.cache_info().hits >= len(items)
+
+
+def test_pair_rows_cache_is_bounded():
+    shelling._pair_rows.cache_clear()
+    facets = list(all_ksubsets(12, 3))  # 220 facets, so 8k = 24
+    dual_graph(FacetSequence(tuple(facets[:3])))
+    # the ridge-table form, h > 8k, leaves the memo as it was
+    for h in (25, 60, 220):
+        dual_graph(FacetSequence(tuple(facets[:h])))
+    info = shelling._pair_rows.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    # 400 distinct pairs of facets fill it to its bound and no further
+    for t in range(400):
+        dual_graph(FacetSequence((facets[t % 220], facets[(t + 1 + t // 220) % 220])))
+    info = shelling._pair_rows.cache_info()
+    assert info.maxsize == shelling._PAIR_ROWS_CACHE_SIZE
+    assert info.currsize == info.maxsize < info.misses == 401
+
+
 def test_hasse_graph_matches_the_pair_built_graph(bjorner):
     position = {item: i + 1 for i, item in enumerate(bjorner.items)}
     covers = induced_covers(bjorner.support(), OrderKind.GALE)
@@ -798,6 +837,29 @@ def test_family_is_checked_at_construction():
     with pytest.raises(TypeError, match="expected a KSubsetUniverse"):
         Family(list(universe.facets), 1)
     assert list(Family(universe, 0)) == []
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (5, 3), (6, 2), (6, 3)])
+def test_exchange_tables_drop_exactly_the_self_partnered_demands(n, k):
+    # every demand (1 << y, i, ids) of x, listed in full, against the rows
+    universe = compiled_universe(n, k)
+    masks, id_of = universe.masks, universe.id_of
+    for x, xm in enumerate(masks):
+        kept, kept_quasi = [], []
+        for y, ym in enumerate(masks):
+            gain = ym & ~xm
+            for i in _bits(xm & ~ym):
+                partners = [xm ^ 1 << i | 1 << j for j in _bits(gain)]
+                demand = (1 << y, i + 1, sum(1 << id_of[p] for p in partners))
+                if ym in partners:
+                    # dropped only where y is x - i + j: one element away
+                    assert partners == [ym] and (xm ^ ym).bit_count() == 2
+                    continue
+                kept.append(demand)
+                if i + 1 > gain.bit_length():
+                    kept_quasi.append(demand)
+        assert universe.exchange[x] == tuple(kept)
+        assert universe.quasi[x] == tuple(kept_quasi)
 
 
 @pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (5, 3), (6, 3)])
