@@ -19,7 +19,6 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -29,6 +28,7 @@ from .core import (
     KSubset,
     _bits,
     _check_homogeneous,
+    _value_type,
     all_flag_tuples,
     all_ksubsets,
     canonical_key,
@@ -432,7 +432,7 @@ class FlagTupleUniverse:
         return cls(facets, id_of, below, images)
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class Family:
     """A family of facets of a compiled universe, as the mask of their
     ids.  It iterates its facets in canonical order, so any predicate

@@ -15,7 +15,7 @@ reduces to constant-time bitmask arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator
 
 MAX_UNIVERSE = 64
@@ -34,7 +34,28 @@ def _check_universe(n: int) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
+def _value_type(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)``, with a ``__setattr__`` and
+    ``__delattr__`` that raise ``FrozenInstanceError`` for every name.
+
+    ``slots=True`` builds a copy of the class, and on CPython 3.10 to
+    3.13 the frozen methods it keeps fall through to ``super()`` with
+    the original class for a name that is not a field, which raises
+    TypeError instead."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
+    return cls
+
+
+@_value_type
 class KSubset:
     """A subset of {1, ..., n}; members are canonicalized to sorted order.
 
@@ -70,7 +91,7 @@ class KSubset:
         return iter(self.members)
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class FlagTuple:
     """A tuple of pairwise distinct values of {1, ..., n}; order matters.
 
@@ -118,7 +139,7 @@ class FlagTuple:
         return iter(self.entries)
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class FlagVertexFacet:
     """A facet of a flag complex: a nested chain of KSubsets of sizes 1..k."""
 
@@ -178,7 +199,7 @@ def _check_homogeneous(facets: Iterable[Facet], what: str) -> None:
             raise ValueError(f"{what} mixes universes or facet sizes")
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class PureComplex:
     """A finite set of equal-size facets over one vertex universe."""
 
@@ -214,7 +235,7 @@ class PureComplex:
         return facet in self.facets
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class FacetSequence:
     """An ordered, duplicate-free, nonempty tuple of equal-size facets."""
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -24,17 +23,21 @@ from .bruhat import (
     _order_of,
     prefix_projection,
 )
-from .core import FlagTuple, KSubset, PureComplex, _bits, canonical_key
+from .core import FlagTuple, KSubset, PureComplex, _bits, _value_type, canonical_key
 
 
-# The list path maps |X|·n! image points, about 1 µs each: all
-# 4-subsets of [8] (2,822,400 points), the largest KSubset family with
-# n <= 8, take about 3 s, and all of S_7 as tuples (25,401,600) about a
-# minute (2-vCPU x86-64 VM, CPython 3.11).
+# The list path maps |X|·n! image points, about 1 µs each for subsets:
+# all 4-subsets of [8] (2,822,400 points) and the eight 1-subsets {1},
+# ..., {8} of [9] (2,903,040) take about 2.6 s, and one facet of [9]
+# (362,880) 0.8 s.  Permutations of [9] take about 3 µs a point: eight
+# of them (2,903,040) take 7.8 s and 236 MiB, most of it the keys of
+# the 9! distinct images.  One facet of [10] (3,628,800) is the first
+# past the bound, and all of S_7 as tuples (25,401,600) would take about
+# a minute (CLI runs, 2-vCPU x86-64 VM, CPython 3.11).
 MAXIMALITY_MAX_POINTS = 3_000_000
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class ExchangeWitness:
     """A failed exchange: no partner in second for ``element`` of first."""
 
@@ -43,7 +46,7 @@ class ExchangeWitness:
     element: int
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class MatroidVerdict:
     holds: bool
     witness: Optional[ExchangeWitness] = None
@@ -144,10 +147,9 @@ def is_coxeter_matroid(elements: Iterable) -> bool:
 
     Accepts a set of FlagTuples (configuration order, image is entrywise
     application of w) or of KSubsets (Gale order, image is the sorted
-    value set).  Sweeps all of S_n, so n <= 8 is enforced, and the
-    |X|·n! image points are bounded by ``MAXIMALITY_MAX_POINTS`` before
-    the sweep.  A ``Family`` of a ``FlagTupleUniverse`` is decided on its
-    universe's tables.
+    value set).  Sweeps all of S_n, so the |X|·n! image points are
+    bounded by ``MAXIMALITY_MAX_POINTS`` before the sweep.  A ``Family``
+    of a ``FlagTupleUniverse`` is decided on its universe's tables.
     """
     if isinstance(elements, Family) and isinstance(elements.universe, FlagTupleUniverse):
         return _maximality_on_family(elements)
@@ -155,8 +157,6 @@ def is_coxeter_matroid(elements: Iterable) -> bool:
     if not elems:
         raise ValueError("empty set cannot be tested for maximality")
     n = elems[0].n
-    if n > 8:
-        raise ValueError(f"full S_n sweep requires n <= 8, got n = {n}")
     points = len(elems) * math.factorial(n)
     if points > MAXIMALITY_MAX_POINTS:
         raise ValueError(

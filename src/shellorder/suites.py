@@ -14,7 +14,6 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Optional
 
@@ -34,6 +33,7 @@ from .core import (
     PureComplex,
     _bits,
     _check_universe,
+    _value_type,
     all_flag_tuples,
     all_ksubsets,
     canonical_key,
@@ -56,21 +56,31 @@ from .shelling import (
 )
 from .subdivision import barycentric, flag_facet
 
-EXHAUSTIVE_MAX_N = 6
-# The CONF quotient (6, 2) has 30 tuples and 297 down-sets, and its
-# sweep ends in 0.46 s; the next CONF universe, (5, 3), has 60 tuples and
-# 28,315 down-sets, and its checks did not end in 600 s.  No n <= 6
-# universe lies between 30 and 60 elements.
+# The k-subset sweeps (extensions-shell, barycentric-coxeter,
+# hasse-vs-dual) list the 2^C(n, k) families of the C(n, k) facets,
+# bounded before any facet is listed.  (6, 3) has the most facets of
+# any shape with 1 < k < n - 1 inside; past n = 6 only k in {0, 1,
+# n - 1, n} is, and extensions-shell at (20, 19) and (20, 1), the
+# slowest shapes inside, takes 21 and 16 s at --jobs 1 (2-vCPU x86-64
+# VM, CPython 3.11).
+KSUBSET_MAX_FACETS = 20
+# conf-ideals-flagshell lists the n!/(n - k)! tuples, bounded before any
+# is listed.  The CONF quotient (6, 2) has 30 tuples and 297 down-sets,
+# and its sweep ends in 0.46 s; the next CONF universe with 1 < k,
+# (5, 3), has 60 tuples and 28,315 down-sets, and its checks did not end
+# in 600 s.  Past n = 6 only k = 1 is inside, up to n = 30: a chain.
 FAMILY_MAX_BITS = 30
 SEEDED_MAX_FACETS = 10_000  # seeded corpora list all C(n, k) facets
 # An exhaustive corpus is bounded before it is listed, by the number of
-# ordered choices of at most max_facets distinct facets.  The largest
-# corpus inside the bound, (6, 2) at 5 facets (bound 396,075), has
-# 152,535 orders, built in 0.8 s and evacuated in 27 s at --jobs 1; the
-# next one, (5, 3) at 7 facets (bound 792,100), has 310,450 orders and
-# takes 2.7 s to build alone.  The default (5, 3) at 5 facets is 36,100.
-# (Build times: median of fresh processes on a 2-vCPU x86-64 VM, CPython
-# 3.11.)  The bound caps a seeded corpus's sample count too.
+# ordered choices of at most max_facets distinct facets.  The most inside
+# are at C(n, k) = 11 facets and max_facets = 6 (397,111): at k = 1 or
+# k = n - 1 every choice is a shelling order, and evacuation-shell at
+# (11, 1, 6), the slowest corpus inside, takes 35 s at --jobs 1; (6, 2)
+# at 5 facets (396,075, 152,535 orders) takes 10 s.  The next (5, 3)
+# corpus past it, at 7 facets (792,100), has 310,450 orders and takes
+# 2.7 s to build alone.  The default (5, 3) at 5 facets is 36,100.
+# (2-vCPU x86-64 VM, CPython 3.11.)  The bound caps a seeded corpus's
+# sample count too.
 EXHAUSTIVE_MAX_ORDERS = 400_000
 # remark-bruhat-graph checks the C(m, 2) pairs of the m = C(n, k) facets,
 # bounded before any facet is listed, and not n.  Most of its time goes
@@ -82,7 +92,7 @@ EXHAUSTIVE_MAX_ORDERS = 400_000
 REMARK_MAX_PAIRS = 100_000
 
 
-@dataclass(frozen=True, slots=True)
+@_value_type
 class RunReport:
     suite: str
     instances: int
@@ -100,14 +110,19 @@ class RunReport:
         return self.checks - self.failures
 
 
-def _guard_exhaustive(n: int) -> None:
-    if n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive sweeps are guarded at n <= {EXHAUSTIVE_MAX_N}")
-
-
 def _guard_exhaustive_corpus(n: int, k: int, max_facets: int) -> None:
+    """The sum over s <= max_facets of the ordered choices of s distinct
+    facets must lie in [1, EXHAUSTIVE_MAX_ORDERS].  It stops at the first
+    s whose running total passes the bound, and reports that total: up
+    to C(64, 32) facets, the whole sum could have about 10^18 terms."""
+    _check_universe(n)
     facets = math.comb(n, k)
-    orders = sum(math.perm(facets, s) for s in range(1, min(max_facets, facets) + 1))
+    orders, term = 0, 1
+    for s in range(1, min(max_facets, facets) + 1):
+        term *= facets - s + 1  # C(n, k)!/(C(n, k) - s)!
+        orders += term
+        if orders > EXHAUSTIVE_MAX_ORDERS:
+            break
     if not 1 <= orders <= EXHAUSTIVE_MAX_ORDERS:
         raise ValueError(
             "exhaustive corpora need 1 <= sum over s <= max_facets of "
@@ -117,6 +132,8 @@ def _guard_exhaustive_corpus(n: int, k: int, max_facets: int) -> None:
 
 
 def _guard_seeded(n: int, k: int) -> None:
+    if k <= n:  # past n there is no facet, whatever n is
+        _check_universe(n)  # before C(n, k) is counted or its facets listed
     facets = math.comb(n, k)  # a ValueError for negative n or k
     if not 1 <= facets <= SEEDED_MAX_FACETS:
         raise ValueError(
@@ -248,8 +265,15 @@ def _sweep(suite: str, setup, shape: tuple, jobs: int) -> RunReport:
 def _ksubset_universe(n: int, k: int) -> tuple[KSubsetUniverse, int, range]:
     """The k-subsets of [n], compiled once per sweep (each check reads
     their tables, and forked workers inherit them), the instance count
-    and every nonempty family."""
-    _guard_exhaustive(n)
+    and every nonempty family.  The C(n, k) facets are bounded by
+    ``KSUBSET_MAX_FACETS`` before any is listed."""
+    _check_universe(n)
+    facets = math.comb(n, k)
+    if facets > KSUBSET_MAX_FACETS:
+        raise ValueError(
+            f"k-subset sweeps are bounded at {KSUBSET_MAX_FACETS} facets, "
+            f"got C(n, k) = C({n}, {k}) = {facets}"
+        )
     universe = KSubsetUniverse.of(n, k)
     size = 1 << len(universe.facets)
     return universe, size, range(1, size)
@@ -317,16 +341,16 @@ def barycentric_coxeter(n: int, k: int, jobs: int = 1) -> RunReport:
 
 def _conf_ideals_setup(n: int, k: int):
     # all 2^m subsets of the m tuples are instances, but only the
-    # nonempty down-sets have anything to check.  n <= 6 keeps every
-    # k-subset universe at most C(6, 3) = 20 elements, but not this one
-    _guard_exhaustive(n)
-    elems = list(all_flag_tuples(n, k))
-    m = len(elems)
+    # nonempty down-sets have anything to check; m is counted before any
+    # tuple is listed
+    _check_universe(n)
+    m = math.perm(n, k)
     if m > FAMILY_MAX_BITS:
         raise ValueError(
             f"subset sweeps are guarded at universes of at most {FAMILY_MAX_BITS} "
             f"elements, got {m} at n = {n}, k = {k}"
         )
+    elems = list(all_flag_tuples(n, k))
     below = strictly_below_masks(elems, OrderKind.CONF)
     ideals = [mask for mask in order_ideals(below) if mask]
     # one vertex numbering for every flag facet of the universe
@@ -357,11 +381,10 @@ def conf_ideals_flagshell(n: int, k: int, jobs: int = 1) -> RunReport:
 def exhaustive_corpus(n: int, k: int, max_facets: int) -> tuple[FacetSequence, ...]:
     """All shelling orders of all complexes with at most max_facets facets,
     guarded before anything is listed."""
-    _guard_exhaustive(n)
     _guard_exhaustive_corpus(n, k, max_facets)
     facets = list(all_ksubsets(n, k))
     out: list[FacetSequence] = []
-    for size in range(1, max_facets + 1):
+    for size in range(1, min(max_facets, len(facets)) + 1):
         for combo in itertools.combinations(facets, size):
             out.extend(shelling_orders(PureComplex.of(combo)))
     return tuple(out)
@@ -563,7 +586,12 @@ def _hasse_vs_dual_setup(n: int, k: int):
 def hasse_vs_dual(n: int, k: int, jobs: int = 1) -> RunReport:
     """On every order ideal and every interval, the induced Hasse graph of
     a linear extension must be a subgraph of its dual graph and the two
-    promotions must agree."""
+    promotions must agree.
+
+    The sweep lists every linear extension of every support, but its
+    bound is on the C(n, k) facets (``KSUBSET_MAX_FACETS``): past n = 6
+    that leaves k in {0, 1, n - 1, n}, whose Gale orders are chains, so
+    each support has one extension and no shape costs more than (6, 3)."""
     return _sweep("hasse-vs-dual", _hasse_vs_dual_setup, (n, k), jobs)
 
 

@@ -241,6 +241,22 @@ class TestCommands:
         )
         assert captured.out == ""
 
+    def test_check_coxeter_matroid_past_n_eight(self, tmp_path, capsys):
+        # the sweep is bounded by its image points, not by n: one facet
+        # of [9] maps to 9! = 362,880 of them, and one of [10] to too many
+        nine = write(tmp_path, "nine.txt", "n=9 mode=sorted\n1 2\n")
+        assert main(["check-coxeter-matroid", nine]) == 0
+        assert capsys.readouterr() == ("holds\n", "")
+        ten = write(tmp_path, "ten.txt", "n=10 mode=sorted\n1 2\n")
+        started = time.perf_counter()
+        assert main(["check-coxeter-matroid", ten]) == 2
+        assert time.perf_counter() - started < 1
+        assert capsys.readouterr() == (
+            "",
+            "error: the S_n sweep is bounded at 3000000 image points, "
+            "got |X|·n! = 1·10! = 3628800\n",
+        )
+
     def test_check_coxeter_matroid_sorted_mode(self, tmp_path):
         path = write(
             tmp_path, "m.txt", "n=4 mode=sorted\n1 2\n1 3\n1 4\n2 3\n2 4\n"
@@ -308,6 +324,13 @@ class TestCommands:
         from shellorder import is_shelling_order
 
         assert is_shelling_order(found).holds
+
+    def test_find_shelling_prints_the_first_order_in_visit_order(self, tmp_path, capsys):
+        # the sorted facets 124 135 145 245 are not a shelling order, so
+        # the first shelling order found pins the walker's visit order
+        path = write(tmp_path, "c.txt", "n=5 mode=sorted\n2 4 5\n1 3 5\n1 4 5\n1 2 4\n")
+        assert main(["find-shelling", path]) == 0
+        assert capsys.readouterr() == ("n=5 mode=sorted\n1 2 4\n1 4 5\n1 3 5\n2 4 5\n", "")
 
     def test_find_shelling_beyond_recursion_limit(self, tmp_path, capsys):
         facets = list(all_ksubsets(46, 2))
@@ -533,6 +556,15 @@ class TestExportDot:
         marked = {int(l.split()[0]) for l in node_lines if "peripheries=2" in l}
         assert marked == {1, 2, 3, 7, 10, 11}
 
+    def test_small_order_bytes(self, tmp_path, capsys):
+        # export-dot is the only command that reads a graph's edge list
+        path = write(tmp_path, "c.txt", "n=4 mode=sorted\n1 2\n2 3\n1 3\n1 4\n2 4\n")
+        assert main(["export-dot", "--graph", "dual", path]) == 0
+        nodes = "".join(f"  {v} [peripheries=2];\n" for v in range(1, 6))
+        pairs = ["12", "13", "14", "15", "23", "25", "34", "45"]
+        edges = "".join(f"  {a} -- {b};\n" for a, b in pairs)
+        assert capsys.readouterr() == ("graph {\n" + nodes + edges + "}\n", "")
+
     def test_hasse_marks_its_track(self, bjorner):
         out = export_dot(bjorner, GraphKind.HASSE)
         marked = {
@@ -552,6 +584,81 @@ class TestExportDot:
         )
 
 
+# the shape at which each suite's --jobs 2 report is compared with its
+# --jobs 1 report; a suite with no entry is compared at (4, 2)
+PARALLEL_SHAPES = {
+    # pool workers reuse the set-up of the process that forked them
+    "conf-ideals-flagshell": ["--n", "4", "--k", "2"],
+    # workers decide families on the universe compiled before the fork
+    "extensions-shell": ["--n", "5", "--k", "3"],
+    # and maximality on the compiled flag-tuple universe
+    "barycentric-coxeter": ["--n", "5", "--k", "2"],
+    # each worker keeps its own covers of the last support it checked
+    "hasse-vs-dual": ["--n", "5", "--k", "2"],
+    # workers inherit the memoized pair-scan rows of dual graphs
+    "evacuation-shell": ["--n", "5", "--k", "3"],
+    "remark-bruhat-graph": ["--n", "9", "--k", "4"],
+}
+
+
+# shapes that each sweep's own bound admits, all but the last past n = 6,
+# with their checks: a sweep is bounded by what it lists, not by n
+ADMITTED_SHAPES = [
+    (["promotion-shell", "--n", "7", "--k", "2", "--max-facets", "3"], 2961),
+    (["promotion-shell", "--n", "7", "--k", "1", "--max-facets", "1"], 7),
+    # C(n, k) = 1 facet: one ordered choice, however many facets allowed
+    (["eq2-oracle", "--n", "64", "--k", "64", "--max-facets", "1000000000"], 1),
+    (["conf-ideals-flagshell", "--n", "30", "--k", "1"], 30),
+    (["extensions-shell", "--n", "7", "--k", "1"], 127),
+    (["extensions-shell", "--n", "7", "--k", "6"], 127),
+    (["barycentric-coxeter", "--n", "7", "--k", "1"], 127),
+    (["hasse-vs-dual", "--n", "20", "--k", "19"], 210),
+    # (6, 6) compiles the largest flag-tuple table a sweep builds
+    (["barycentric-coxeter", "--n", "6", "--k", "6"], 1),
+]
+
+# shapes past a sweep's bound, with the error that names it
+REFUSED_SHAPES = [
+    *(
+        (
+            [suite, "--n", "7", "--k", "2"],
+            "k-subset sweeps are bounded at 20 facets, got C(n, k) = C(7, 2) = 21",
+        )
+        # extensions-shell: test_guard_rejected
+        for suite in ("barycentric-coxeter", "hasse-vs-dual")
+    ),
+    (
+        ["conf-ideals-flagshell", "--n", "31", "--k", "1"],
+        "subset sweeps are guarded at universes of at most 30 elements, "
+        "got 31 at n = 31, k = 1",
+    ),
+    (
+        ["conf-ideals-flagshell", "--n", "1000000000", "--k", "2"],
+        "universe size 1000000000 exceeds the supported bound of 64",
+    ),
+    (
+        ["promotion-shell", "--n", "65", "--k", "1"],
+        "universe size 65 exceeds the supported bound of 64",
+    ),
+    (
+        ["evacuation-shell", "--n", "1000000000", "--k", "1000000000", "--samples", "1"],
+        "universe size 1000000000 exceeds the supported bound of 64",
+    ),
+    (
+        ["eq2-oracle", "--n", "64", "--k", "32", "--max-facets", "1000000000"],
+        "exhaustive corpora need 1 <= sum over s <= max_facets of "
+        "C(n, k)!/(C(n, k) - s)! <= 400000, got 1832624140942590534 "
+        "at n = 64, k = 32, max_facets = 1000000000",
+    ),
+    # (9, 1) passes the k-subset bound but not the flag-tuple table's
+    (
+        ["barycentric-coxeter", "--n", "9", "--k", "1"],
+        "flag-tuple universes are bounded at 600000 image ids, "
+        "got n!·n!/(n-k)! = 9!·9!/8! = 3265920",
+    ),
+]
+
+
 class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys):
         assert main(["verify", "extensions-shell", "--n", "4", "--k", "2"]) == 0
@@ -560,22 +667,47 @@ class TestVerifyCommand:
 
     def test_guard_rejected(self, capsys):
         assert main(["verify", "extensions-shell", "--n", "7", "--k", "2"]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", "error: k-subset sweeps are bounded at 20 facets, got C(n, k) = C(7, 2) = 21\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, checks", ADMITTED_SHAPES, ids=[" ".join(argv) for argv, _ in ADMITTED_SHAPES]
+    )
+    def test_admitted_shapes_pass(self, argv, checks, capsys):
+        assert main(["verify", *argv]) == 0
+        out = capsys.readouterr().out
+        assert f"checks: {checks}\npassed: {checks}\nfailed: 0\n" in out
+
+    @pytest.mark.parametrize(
+        "argv, message", REFUSED_SHAPES, ids=[" ".join(argv) for argv, _ in REFUSED_SHAPES]
+    )
+    def test_refused_shapes_name_their_bound(self, argv, message, capsys):
+        started = time.perf_counter()
+        assert main(["verify", *argv]) == 2
+        assert time.perf_counter() - started < 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit) as err:
             main(["verify", "no-such-suite", "--n", "4", "--k", "2"])
         assert err.value.code == 2
 
-    def test_randomized_suite(self, capsys):
-        code = main(
-            [
-                "verify", "promotion-shell", "--n", "5", "--k", "2",
-                "--samples", "50", "--seed", "3", "--max-facets", "6",
-            ]
+    @pytest.mark.parametrize(
+        "argv, samples",
+        [
+            (["promotion-shell", "--n", "5", "--k", "2", "--max-facets", "6"], 50),
+            # a corpus suite goes through the suite table with its corpus options
+            (["eq2-oracle", "--n", "4", "--k", "2"], 20),
+        ],
+    )
+    def test_randomized_suite(self, argv, samples, capsys):
+        argv = ["verify", *argv, "--samples", str(samples), "--seed", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            f"suite: {argv[1]}\ninstances: {samples}\nchecks: {samples}\n"
+            f"passed: {samples}\nfailed: 0\n"
         )
-        assert code == 0
-        assert "instances: 50" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "n, k", [("40", "20"), ("16", "8"), ("3", "5"), ("0", "1")]
@@ -753,13 +885,10 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["remark-bruhat-graph", "--n", "4", "--k", "2"],
-            # workers decide families on the universe compiled before the fork
-            ["extensions-shell", "--n", "5", "--k", "3"],
-            # a seeded corpus goes through the pool as well
-            ["evacuation-shell", "--n", "5", "--k", "3", "--samples", "300", "--seed", "3"],
-        ],
+        [[suite, *PARALLEL_SHAPES.get(suite, ["--n", "4", "--k", "2"])] for suite in suites.SUITES]
+        # a seeded corpus goes through the pool as well
+        + [["evacuation-shell", "--n", "5", "--k", "3", "--samples", "300", "--seed", "3"]],
+        ids=[*suites.SUITES, "evacuation-shell-seeded"],
     )
     def test_parallel_workers_match_sequential(self, argv, capsys):
         assert main(["verify", *argv]) == 0
@@ -787,8 +916,10 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "n, k, max_facets, orders",
         [
-            (6, 3, 20, 6613313319248080000),
-            (5, 3, 10, 9864100),
+            # the sum stops at the first s whose running total passes the
+            # bound, and reports that total
+            (6, 3, 20, 1984000),
+            (5, 3, 10, 792100),
             (5, 3, 7, 792100),  # the smallest measured shape outside the bound
             (3, 5, 5, 0),
         ],
@@ -858,10 +989,10 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "n, k, max_facets, message",
         [
-            (7, 2, 3, "exhaustive sweeps are guarded at n <= 6"),
             (3, 5, 5, "exhaustive corpora need 1 <= sum over s <= max_facets"),
+            (65, 1, 1, "universe size 65 exceeds the supported bound of 64"),
         ],
-        ids=["n-bound", "empty-universe"],
+        ids=["empty-universe", "universe-bound"],
     )
     def test_exhaustive_corpus_guards_itself(self, n, k, max_facets, message):
         # the public corpus builder has the bounds of the suites that use it
@@ -869,10 +1000,12 @@ class TestVerifyCommand:
             suites.exhaustive_corpus(n, k, max_facets)
 
     def test_exhaustive_corpus_bound_admits_the_largest_measured_shape(self):
-        # (6, 2) at 5 facets (bound 396,075) builds in about 1 s; running
-        # it here would take half a minute, so only the guard is asked
+        # (6, 2) at 5 facets (bound 396,075) and (11, 1) at 6 (397,111,
+        # the most ordered choices inside) take 10 and 35 s to evacuate,
+        # so only the guard is asked
         suites._guard_exhaustive_corpus(6, 2, 5)
         suites._guard_exhaustive_corpus(5, 3, 6)
+        suites._guard_exhaustive_corpus(11, 1, 6)
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, jobs, capsys):

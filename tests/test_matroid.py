@@ -114,8 +114,10 @@ class TestCoxeterMatroid:
         assert is_coxeter_matroid({ft(5, "351")})
 
     def test_guard(self):
-        with pytest.raises(ValueError):
-            is_coxeter_matroid({KSubset(9, (1, 2))})
+        # bounded by the |X|·n! image points, not by n: one facet of [9]
+        # is inside (the CLI tests sweep it), one of [10] is not
+        with pytest.raises(ValueError, match=r"got \|X\|·n! = 1·10! = 3628800$"):
+            is_coxeter_matroid({KSubset(10, (1, 2))})
 
     def test_point_bound_admits_every_ksubset_family_up_to_n_8(self):
         # all 4-subsets of [8], the largest such family: 70·8! points
