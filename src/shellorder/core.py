@@ -288,13 +288,16 @@ class LabeledGraph:
 
     ``edges`` may be given as any iterable of pairs in either
     orientation.  Kernels whose rows are correct by construction build
-    the graph with ``_of_rows`` instead, which takes the rows as given."""
+    the graph with ``_of_rows`` instead, which takes the rows as given.
+    A short dual graph is its facet masks (``_of_masks``), which
+    ``has_edge`` and ``promotion.track`` read; its rows are filled from
+    them on their first read (by ``==``, hash, repr, pickling, ...)."""
 
     # written out, not ``slots=True``: that builds a copy of the class,
     # and on CPython 3.10 to 3.13 the copy's frozen ``__setattr__`` raises
     # TypeError, not FrozenInstanceError, for a name that is not a field
-    # (``edges``)
-    __slots__ = ("order", "rows")
+    # (``edges``); ``_masks`` is ``(masks, k)`` on a graph of facet masks
+    __slots__ = ("order", "rows", "_masks")
     order: int
     rows: tuple[int, ...]
 
@@ -322,10 +325,37 @@ class LabeledGraph:
         graph.__post_init__(order, tuple(rows))
         return graph
 
-    def __post_init__(self, order: int, rows: tuple[int, ...]) -> None:
-        """Set the fields; runs once per graph, from either constructor."""
+    @classmethod
+    def _of_masks(cls, order: int, masks: list[int], k: int) -> "LabeledGraph":
+        """The dual graph of ``order`` distinct k-facets with these masks,
+        in position order; ``rows`` is left unset."""
+        graph = object.__new__(cls)
+        graph.__post_init__(order, None, (masks, k))
+        return graph
+
+    def __post_init__(self, order: int, rows: tuple | None, masks: tuple | None = None) -> None:
+        """Set the fields; runs once per graph, from any constructor."""
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rows", rows)
+        if rows is not None:
+            object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_masks", masks)
+
+    def __getattr__(self, name: str):
+        # reached only when normal lookup fails: the unset rows of a graph
+        # of masks, filled by testing every pair for k - 1 shared vertices
+        if name != "rows":
+            raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
+        masks, k = self._masks
+        h = len(masks)
+        rows = [0] * (h + 1)
+        for i in range(1, h):
+            mask, bit = masks[i - 1], 1 << i
+            for j in range(i + 1, h + 1):
+                if (mask & masks[j - 1]).bit_count() == k - 1:
+                    rows[i] |= 1 << j
+                    rows[j] |= bit
+        object.__setattr__(self, "rows", tuple(rows))
+        return self.rows
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -342,7 +372,11 @@ class LabeledGraph:
     def has_edge(self, a: int, b: int) -> bool:
         if not (1 <= a <= self.order and 1 <= b <= self.order):
             return False
-        return bool(self.rows[a] >> b & 1)
+        if self._masks is None:
+            return bool(self.rows[a] >> b & 1)
+        # a facet meets itself in k vertices, so a == b is no edge
+        masks, k = self._masks
+        return (masks[a - 1] & masks[b - 1]).bit_count() == k - 1
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.order:

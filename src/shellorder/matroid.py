@@ -165,6 +165,8 @@ def is_coxeter_matroid(elements: Iterable) -> bool:
         )
     kind = _order_of(elems[0])
     _check_operands(elems, kind)
+    if len(elems) == 1:  # its own greatest element under every w
+        return True
     # an image recurs under many permutations: key each distinct one once
     key = functools.cache(_dominance_key(kind))
     points = [tuple(x) for x in elems]

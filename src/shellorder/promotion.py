@@ -27,7 +27,16 @@ class GraphKind(Enum):
 
 
 def track(graph: LabeledGraph) -> Track:
-    """Greedy path: from each vertex, step to its least larger neighbor."""
+    """Greedy path: from each vertex, step to its least larger neighbor;
+    on a graph of facet masks, the next later facet sharing k - 1 vertices."""
+    if graph._masks is not None:
+        masks, k = graph._masks
+        anchor, vertices = masks[0], [1]
+        for v in range(1, len(masks)):
+            if (anchor & masks[v]).bit_count() == k - 1:
+                anchor = masks[v]
+                vertices.append(v + 1)
+        return tuple(vertices)
     rows = graph.rows
     v = 1
     vertices = [1]
@@ -104,17 +113,17 @@ def r_promote(
     seq: FacetSequence, r: int, kind: GraphKind = GraphKind.DUAL
 ) -> FacetSequence:
     """Promote the length-r prefix as a standalone sequence."""
-    h = len(seq)
+    items = seq.items
+    h = len(items)
     if not 1 <= r <= h:
         raise ValueError(f"prefix length {r} not within [1, {h}]")
-    prefix = FacetSequence._trusted(seq.items[:r])
-    promoted = promote(prefix, kind)
-    return FacetSequence._trusted(promoted.items + seq.items[r:])
+    promoted = promote(FacetSequence._trusted(items[:r]), kind)
+    return FacetSequence._trusted(promoted.items + items[r:])
 
 
 def evacuate(seq: FacetSequence, kind: GraphKind = GraphKind.DUAL) -> FacetSequence:
     """Compose the r-promotions for r = h down to 2; an involution for
     the dual graph."""
-    for r in range(len(seq), 1, -1):
+    for r in range(len(seq.items), 1, -1):
         seq = r_promote(seq, r, kind)
     return seq

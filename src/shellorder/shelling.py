@@ -27,10 +27,6 @@ from .core import (
 # of distinct facets does not grow the cache.
 _RIDGE_CACHE_SIZE = 4096
 
-# Pair-scan dual graphs whose rows are kept, keyed on their facet masks
-# (see ``_pair_rows``); a fixed bound, so a sweep does not grow the cache.
-_PAIR_ROWS_CACHE_SIZE = 256
-
 # One facet's row of ``_append_tables``: a (ridge holders, vertex
 # holders) pair of index bits per vertex.
 _AppendRow = tuple[tuple[int, int], ...]
@@ -109,7 +105,7 @@ def facet_masks(items: tuple) -> tuple[list[int], int]:
     """Bitmask encodings of set-like facets plus the common facet size."""
     first = items[0]
     if isinstance(first, KSubset):
-        return [f.mask for f in items], len(first)
+        return [f.mask for f in items], len(first.members)
     if isinstance(first, FlagVertexFacet):
         index: dict[KSubset, int] = {}
         masks = []
@@ -383,10 +379,15 @@ def find_shelling_order(complex_: PureComplex) -> Optional[FacetSequence]:
 def dual_graph(seq: FacetSequence) -> LabeledGraph:
     """Positions i, j are adjacent iff the facets share all but one vertex.
 
-    The graph is built as adjacency rows (``LabeledGraph._of_rows``) and
-    lists no edge; its edge set is listed from the rows on each read.
+    Up to 8k facets the graph is its facet masks (``LabeledGraph._of_masks``):
+    ``has_edge`` and ``promotion.track`` read them, and the pair scan's
+    h(h - 1)/2 popcounts fill the rows only when they are read.  Timed
+    per graph on prefixes of grown and random k-subset sequences, that
+    scan and the ridge table break even near h = 13 for k = 2, 21–24 for
+    k = 3, 29–39 for k = 4 and 41–49 for k = 5: about 7k–10k.
 
-    Ridge-incidence form: two distinct k-facets are adjacent iff they
+    Past 8k facets the rows are built at once (``LabeledGraph._of_rows``)
+    in ridge-incidence form: two distinct k-facets are adjacent iff they
     contain a common (k - 1)-ridge (their intersection).  A first pass
     ORs each position's bit into the holder mask of each of its k ridges
     (its mask minus one vertex bit); row j is then the OR of the holder
@@ -394,19 +395,11 @@ def dual_graph(seq: FacetSequence) -> LabeledGraph:
     big-int ORs for h facets, however many edges there are.  With k = 1
     every facet holds the empty ridge (all pairs adjacent); with k = 0
     the one facet has no ridge.
-
-    Up to 8k facets the pair scan runs instead, ORing each adjacent pair
-    into both rows: its h(h - 1)/2 popcounts cost less there than the
-    table's 2·h·k steps.  Timed per graph on prefixes of grown and random
-    k-subset sequences, the two forms break even near h = 13 for k = 2,
-    21–24 for k = 3, 29–39 for k = 4 and 41–49 for k = 5: about 7k–10k.
-    The pair scan's rows are kept for recent mask tuples (``_pair_rows``);
-    each call still wraps them in a graph of its own.
     """
     masks, k = facet_masks(seq.items)
     h = len(masks)
     if h <= 8 * k:
-        return LabeledGraph._of_rows(h, _pair_rows(tuple(masks), k))
+        return LabeledGraph._of_masks(h, masks, k)
     rows = [0] * (h + 1)
     holders: dict[int, int] = {}  # ridge mask -> bits of the positions holding it
     get = holders.get
@@ -423,41 +416,6 @@ def dual_graph(seq: FacetSequence) -> LabeledGraph:
             row |= holders[ridge]
         rows[j] = row & ~(1 << j)
     return LabeledGraph._of_rows(h, rows)
-
-
-@functools.lru_cache(maxsize=_PAIR_ROWS_CACHE_SIZE)
-def _pair_rows(masks: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """The adjacency rows of ``dual_graph`` by the pair scan, for facet
-    masks in sequence order.  The graph depends on the masks and k alone,
-    so interned flag-vertex masks are served as well as KSubset masks.
-
-    The corpus checks build the same short graphs again and again: the
-    involution check of ``evacuation-shell`` repeats the prefixes of its
-    evacuation, and an elementary move that does not swap hands its
-    sequence on unchanged.  Over one pass of the benchmark's corpus
-    workload, 256 entries answer 72% of the calls (81% in
-    ``evacuation-shell`` on the exhaustive corpus) and 64 answer 70%.
-    256 is far below the ~28,000 distinct tuples of a pass, so a suite
-    is hardly served by an earlier one (21 of the 217,582 hits); at
-    16,384 or more, ``promotion-shell`` would fill the cache for
-    ``evacuation-shell``, which one CLI run, checking one suite, never
-    sees.
-
-    Only the pair scan is kept: the long orders of the ridge-table form
-    do not repeat their prefixes, and an entry holds at most 8k masks
-    and 8k + 1 rows.  That is under 1 KiB in the corpus (k = 3); 256
-    entries of 496 62-subsets of [64], the largest pair-scan graphs of a
-    k-subset input, take about 17 MiB.  Interned flag-vertex masks grow
-    with h·k; only API callers pass flag-vertex sequences here."""
-    h = len(masks)
-    rows = [0] * (h + 1)
-    for i in range(1, h):
-        mask, bit = masks[i - 1], 1 << i
-        for j in range(i + 1, h + 1):
-            if (mask & masks[j - 1]).bit_count() == k - 1:
-                rows[i] |= 1 << j
-                rows[j] |= bit
-    return tuple(rows)
 
 
 def relabel(sigma: FlagTuple, seq: FacetSequence) -> FacetSequence:

@@ -257,6 +257,23 @@ class TestCommands:
             "got |X|·n! = 1·10! = 3628800\n",
         )
 
+    def test_check_coxeter_matroid_one_member_ends_at_once(self, tmp_path, capsys):
+        # a lone permutation of [9] is its own greatest image under each
+        # of the 9! shifts, so it holds without sweeping them; one of
+        # [10] is still past the point bound
+        nine = write(tmp_path, "nine.txt", "n=9 mode=tuple\n9 8 7 6 5 4 3 2 1\n")
+        started = time.perf_counter()
+        assert main(["check-coxeter-matroid", nine]) == 0
+        assert time.perf_counter() - started < 1
+        assert capsys.readouterr() == ("holds\n", "")
+        ten = write(tmp_path, "ten.txt", "n=10 mode=tuple\n10 9 8 7 6 5 4 3 2 1\n")
+        assert main(["check-coxeter-matroid", ten]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: the S_n sweep is bounded at 3000000 image points, "
+            "got |X|·n! = 1·10! = 3628800\n",
+        )
+
     def test_check_coxeter_matroid_sorted_mode(self, tmp_path):
         path = write(
             tmp_path, "m.txt", "n=4 mode=sorted\n1 2\n1 3\n1 4\n2 3\n2 4\n"
@@ -595,7 +612,7 @@ PARALLEL_SHAPES = {
     "barycentric-coxeter": ["--n", "5", "--k", "2"],
     # each worker keeps its own covers of the last support it checked
     "hasse-vs-dual": ["--n", "5", "--k", "2"],
-    # workers inherit the memoized pair-scan rows of dual graphs
+    # workers promote and evacuate on dual graphs of facet masks
     "evacuation-shell": ["--n", "5", "--k", "3"],
     "remark-bruhat-graph": ["--n", "9", "--k", "4"],
 }

@@ -30,6 +30,7 @@ break them.
 import functools
 import itertools
 import math
+import pickle
 import random
 from unittest import mock
 
@@ -334,13 +335,15 @@ def test_is_shelling_order_matches_pair_scan(seq):
 def test_dual_graph_matches_pair_scan(seq):
     edges, rows = reference_dual_graph(seq)
     graph = dual_graph(seq)
-    assert graph.rows == rows
+    # track and has_edge first: up to 8k facets they read the masks
     assert track(graph) == reference_track(edges)
     span = range(-1, graph.order + 3)
     for a in span:
-        assert graph.neighbors(a) == reference_neighbors(edges, a)
         for b in span:
             assert graph.has_edge(a, b) is ((min(a, b), max(a, b)) in edges)
+    assert graph.rows == rows
+    for a in span:
+        assert graph.neighbors(a) == reference_neighbors(edges, a)
     assert graph.edges == edges
     # ==, hash and repr agree with the graph built from the edges
     want = LabeledGraph(len(seq), edges)
@@ -350,43 +353,46 @@ def test_dual_graph_matches_pair_scan(seq):
     assert repr(dual_graph(seq)) == repr(LabeledGraph(len(seq), sorted(edges)))
 
 
+def rows_unset(graph):
+    try:
+        LabeledGraph.rows.__get__(graph)
+    except AttributeError:
+        return True
+    return False
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(any_sequences, wide_ksubset_sequences(), flag_sequences(max_size=40)),
-    st.randoms(use_true_random=False),
-)
-def test_memoized_pair_rows_match_pair_scan(seq, rng):
-    # the memo holds rows per mask tuple in sequence order: a permutation
-    # of the same facets and each prefix must get rows of their own, and
-    # a repeated sequence is served from the memo
-    shelling._pair_rows.cache_clear()
+@given(st.one_of(any_sequences, wide_ksubset_sequences(), flag_sequences()))
+def test_dual_graph_of_masks_matches_pair_scan(seq):
+    # up to 8k facets the graph is its facet masks: track, has_edge,
+    # promote and elementary_move read them and leave the rows unset,
+    # and each of rows, edges, ==, hash, repr and pickling fills them
     k = len(seq.items[0])
-    items = seq.items[: max(1, 8 * k)]  # the pair-scan form
-    shuffled = list(items)
-    rng.shuffle(shuffled)
-    for r in range(len(items), 0, -1):
-        for facets in (items[:r], tuple(shuffled[:r]), items):
-            part = FacetSequence(facets)
-            assert dual_graph(part).rows == reference_dual_graph(part)[1]
-    if k:
-        assert shelling._pair_rows.cache_info().hits >= len(items)
-
-
-def test_pair_rows_cache_is_bounded():
-    shelling._pair_rows.cache_clear()
-    facets = list(all_ksubsets(12, 3))  # 220 facets, so 8k = 24
-    dual_graph(FacetSequence(tuple(facets[:3])))
-    # the ridge-table form, h > 8k, leaves the memo as it was
-    for h in (25, 60, 220):
-        dual_graph(FacetSequence(tuple(facets[:h])))
-    info = shelling._pair_rows.cache_info()
-    assert (info.currsize, info.misses) == (1, 1)
-    # 400 distinct pairs of facets fill it to its bound and no further
-    for t in range(400):
-        dual_graph(FacetSequence((facets[t % 220], facets[(t + 1 + t // 220) % 220])))
-    info = shelling._pair_rows.cache_info()
-    assert info.maxsize == shelling._PAIR_ROWS_CACHE_SIZE
-    assert info.currsize == info.maxsize < info.misses == 401
+    seq = FacetSequence(seq.items[: max(1, 8 * k)])
+    h = len(seq)
+    edges, rows = reference_dual_graph(seq)
+    graph = dual_graph(seq)
+    assert track(graph) == reference_track(edges)
+    span = range(-1, h + 3)
+    for a in span:
+        for b in span:
+            assert graph.has_edge(a, b) is ((min(a, b), max(a, b)) in edges)
+    assert promote(seq) == reference_promote(seq)
+    for i in range(1, h):
+        items = list(seq.items)
+        if (i, i + 1) not in edges:
+            items[i - 1], items[i] = items[i], items[i - 1]
+        assert elementary_move(seq, i) == FacetSequence(tuple(items))
+    # k = 0 has one facet, past 8k, so its rows are built at once
+    assert rows_unset(graph) is (k > 0)
+    assert graph.rows == rows
+    assert dual_graph(seq).edges == edges
+    want = LabeledGraph(h, edges)
+    assert dual_graph(seq) == want and want == dual_graph(seq)
+    assert hash(dual_graph(seq)) == hash(want)
+    assert repr(dual_graph(seq)) == repr(want)
+    copy = pickle.loads(pickle.dumps(dual_graph(seq)))
+    assert copy == want and copy.rows == rows and copy._masks is None
 
 
 def test_hasse_graph_matches_the_pair_built_graph(bjorner):

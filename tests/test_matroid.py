@@ -113,6 +113,18 @@ class TestCoxeterMatroid:
     def test_singleton(self):
         assert is_coxeter_matroid({ft(5, "351")})
 
+    def test_one_member_family_skips_the_sweep(self, monkeypatch):
+        # a lone member is its own greatest image under every w, so no
+        # image is compared; the point bound still comes first
+        def no_sweep(keys):
+            raise AssertionError("a one-member family was swept")
+
+        monkeypatch.setattr(matroid, "_greatest", no_sweep)
+        assert is_coxeter_matroid({KSubset(9, (1, 2))})
+        assert is_coxeter_matroid([FlagTuple(9, tuple(range(9, 0, -1)))])
+        with pytest.raises(ValueError, match=r"got \|X\|·n! = 1·10! = 3628800$"):
+            is_coxeter_matroid({KSubset(10, (1, 2))})
+
     def test_guard(self):
         # bounded by the |X|·n! image points, not by n: one facet of [9]
         # is inside (the CLI tests sweep it), one of [10] is not
