@@ -507,11 +507,15 @@ def is_linear_extension(seq: FacetSequence, elements: Iterable, kind: OrderKind)
 def linear_extensions(elements: Iterable, kind: OrderKind) -> Iterator[FacetSequence]:
     """Every linear extension exactly once, minimal candidates tried in
     canonical ascending order at each step.  The walk is iterative, so
-    the number of elements is not bounded by the recursion limit."""
+    the number of elements is not bounded by the recursion limit.
+
+    Each extension is wrapped unchecked: ``canonical_key`` and, from two
+    elements up, ``strictly_below_masks`` check the operands once, and the
+    set makes them distinct."""
     elems = sorted(set(elements), key=canonical_key)
     if not elems:
         raise ValueError("cannot extend an empty set")
     return (
-        FacetSequence(tuple(elems[t] for t in order))
+        FacetSequence._trusted(tuple(elems[t] for t in order))
         for order in _walk_orders(strictly_below_masks(elems, kind))
     )

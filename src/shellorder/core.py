@@ -14,11 +14,16 @@ reduces to constant-time bitmask arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator
 
 MAX_UNIVERSE = 64
+
+# Facet masks whose ridge lists are kept; a fixed bound, so a long run
+# of distinct facets does not grow the cache.
+_RIDGE_CACHE_SIZE = 4096
 
 
 class UniverseTooLargeError(ValueError):
@@ -289,9 +294,9 @@ class LabeledGraph:
     ``edges`` may be given as any iterable of pairs in either
     orientation.  Kernels whose rows are correct by construction build
     the graph with ``_of_rows`` instead, which takes the rows as given.
-    A short dual graph is its facet masks (``_of_masks``), which
-    ``has_edge`` and ``promotion.track`` read; its rows are filled from
-    them on their first read (by ``==``, hash, repr, pickling, ...)."""
+    A dual graph is its facet masks (``_of_masks``), which ``has_edge``
+    reads; its rows are built by ``_ridge_rows`` on their first read (by
+    ``==``, hash, repr, pickling, ...)."""
 
     # written out, not ``slots=True``: that builds a copy of the class,
     # and on CPython 3.10 to 3.13 the copy's frozen ``__setattr__`` raises
@@ -342,20 +347,12 @@ class LabeledGraph:
 
     def __getattr__(self, name: str):
         # reached only when normal lookup fails: the unset rows of a graph
-        # of masks, filled by testing every pair for k - 1 shared vertices
+        # of masks, built by the ridge table
         if name != "rows":
             raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
-        masks, k = self._masks
-        h = len(masks)
-        rows = [0] * (h + 1)
-        for i in range(1, h):
-            mask, bit = masks[i - 1], 1 << i
-            for j in range(i + 1, h + 1):
-                if (mask & masks[j - 1]).bit_count() == k - 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= bit
-        object.__setattr__(self, "rows", tuple(rows))
-        return self.rows
+        rows = _ridge_rows(self._masks[0])
+        object.__setattr__(self, "rows", rows)
+        return rows
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -392,6 +389,42 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+@functools.lru_cache(maxsize=_RIDGE_CACHE_SIZE)
+def _ridges(mask: int) -> tuple[int, ...]:
+    """The ridges of the facet ``mask``: the mask minus one vertex bit,
+    for each of its bits in ascending order."""
+    out = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        out.append(mask ^ low)
+    return tuple(out)
+
+
+def _ridge_rows(masks: list[int]) -> tuple[int, ...]:
+    """The adjacency rows of the dual graph of distinct k-facets with these
+    masks, in position order: two are adjacent iff they hold a common
+    (k - 1)-ridge.  Each ridge gets the bits of the positions holding it,
+    and row j is the OR over j's k ridges, minus bit j: O(h·k) dictionary
+    steps and ORs, however many edges.  With k = 1 every facet holds the
+    empty ridge; with k = 0 the one facet has none."""
+    ridges = list(map(_ridges, masks))
+    holders: dict[int, int] = {}  # ridge mask -> bits of the positions holding it
+    get = holders.get
+    for j, own in enumerate(ridges, 1):
+        bit = 1 << j
+        for ridge in own:
+            holders[ridge] = get(ridge, 0) | bit
+    rows = [0]
+    for j, own in enumerate(ridges, 1):
+        row = 0
+        for ridge in own:
+            row |= holders[ridge]
+        rows.append(row & ~(1 << j))
+    return tuple(rows)
 
 
 def all_ksubsets(n: int, k: int) -> Iterator[KSubset]:

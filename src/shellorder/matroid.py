@@ -7,7 +7,6 @@ replayable counterexample witnesses.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from operator import itemgetter
@@ -26,14 +25,12 @@ from .bruhat import (
 from .core import FlagTuple, KSubset, PureComplex, _bits, _value_type, canonical_key
 
 
-# The list path maps |X|·n! image points, about 1 µs each for subsets:
-# all 4-subsets of [8] (2,822,400 points) and the eight 1-subsets {1},
-# ..., {8} of [9] (2,903,040) take about 2.6 s, and one facet of [9]
-# (362,880) 0.8 s.  Permutations of [9] take about 3 µs a point: eight
-# of them (2,903,040) take 7.8 s and 236 MiB, most of it the keys of
-# the 9! distinct images.  One facet of [10] (3,628,800) is the first
-# past the bound, and all of S_7 as tuples (25,401,600) would take about
-# a minute (CLI runs, 2-vCPU x86-64 VM, CPython 3.11).
+# The list path keys each of the |X|·n! image points afresh and keeps
+# none, so its memory does not grow with n!.  All 4-subsets of [8]
+# (2,822,400 points) take 2.2-2.7 s; six permutations of [9] (2,177,280)
+# take about 9 s and 17 MiB.  One facet of [10] (3,628,800) is the first
+# past the bound, and all of S_7 as tuples (25,401,600) would take well
+# over a minute (CLI runs, 2-vCPU x86-64 VM, CPython 3.11).
 MAXIMALITY_MAX_POINTS = 3_000_000
 
 
@@ -167,11 +164,10 @@ def is_coxeter_matroid(elements: Iterable) -> bool:
     _check_operands(elems, kind)
     if len(elems) == 1:  # its own greatest element under every w
         return True
-    # an image recurs under many permutations: key each distinct one once
-    key = functools.cache(_dominance_key(kind))
+    key = _dominance_key(kind)
     points = [tuple(x) for x in elems]
     for w in itertools.permutations(range(1, n + 1)):
-        if _greatest([key(tuple([w[v - 1] for v in pt])) for pt in points]) is None:
+        if _greatest([key([w[v - 1] for v in pt]) for pt in points]) is None:
             return False
     return True
 

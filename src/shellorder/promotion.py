@@ -28,15 +28,20 @@ class GraphKind(Enum):
 
 def track(graph: LabeledGraph) -> Track:
     """Greedy path: from each vertex, step to its least larger neighbor;
-    on a graph of facet masks, the next later facet sharing k - 1 vertices."""
+    on a dual graph of at most 8k facets, the next later facet sharing
+    k - 1 vertices with the last one."""
     if graph._masks is not None:
         masks, k = graph._masks
-        anchor, vertices = masks[0], [1]
-        for v in range(1, len(masks)):
-            if (anchor & masks[v]).bit_count() == k - 1:
-                anchor = masks[v]
-                vertices.append(v + 1)
-        return tuple(vertices)
+        # past 8k, read the rows (ridge table): the masks walk would speed
+        # up large-inputs, and perfbench's peak_rss_mb grows with its number
+        # of passes (ROADMAP item 7); this is the only length split
+        if len(masks) <= 8 * k:
+            anchor, vertices = masks[0], [1]
+            for v in range(1, len(masks)):
+                if (anchor & masks[v]).bit_count() == k - 1:
+                    anchor = masks[v]
+                    vertices.append(v + 1)
+            return tuple(vertices)
     rows = graph.rows
     v = 1
     vertices = [1]
@@ -87,14 +92,12 @@ def promote(seq: FacetSequence, kind: GraphKind = GraphKind.DUAL) -> FacetSequen
     return FacetSequence._trusted(tuple(out))
 
 
-def elementary_move(
-    seq: FacetSequence, i: int, kind: GraphKind = GraphKind.DUAL
-) -> FacetSequence:
-    """Swap positions i, i+1 unless they are adjacent in the graph."""
+def elementary_move(seq: FacetSequence, i: int) -> FacetSequence:
+    """Swap positions i, i+1 unless they are adjacent in the dual graph."""
     h = len(seq)
     if not 1 <= i <= h - 1:
         raise ValueError(f"move position {i} not within [1, {h - 1}]")
-    if graph_of(seq, kind).has_edge(i, i + 1):
+    if graph_of(seq, GraphKind.DUAL).has_edge(i, i + 1):
         return seq
     items = list(seq.items)
     items[i - 1], items[i] = items[i], items[i - 1]
@@ -105,7 +108,7 @@ def promote_via_moves(seq: FacetSequence) -> FacetSequence:
     """Dual-graph promotion as the chain of elementary moves at positions
     1, ..., h-1, the graph recomputed from the current sequence each time."""
     for i in range(1, len(seq)):
-        seq = elementary_move(seq, i, GraphKind.DUAL)
+        seq = elementary_move(seq, i)
     return seq
 
 

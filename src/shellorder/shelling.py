@@ -7,7 +7,6 @@ per-sequence bitmask universe, so one checker serves both alphabets.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -18,14 +17,12 @@ from .core import (
     KSubset,
     LabeledGraph,
     PureComplex,
+    _RIDGE_CACHE_SIZE,
     _bits,
     _check_homogeneous,
+    _ridges,
     canonical_key,
 )
-
-# Facet masks whose ridge lists are kept; a fixed bound, so a long run
-# of distinct facets does not grow the cache.
-_RIDGE_CACHE_SIZE = 4096
 
 # One facet's row of ``_append_tables``: a (ridge holders, vertex
 # holders) pair of index bits per vertex.
@@ -86,19 +83,6 @@ class ShellingWitness:
 
     def __reduce__(self):
         return ShellingWitness, (self.holds, self.certificates, self.failing)
-
-
-@functools.lru_cache(maxsize=_RIDGE_CACHE_SIZE)
-def _ridges(mask: int) -> tuple[int, ...]:
-    """The ridges of the facet ``mask``: the mask minus one vertex bit,
-    for each of its bits in ascending order."""
-    out = []
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        out.append(mask ^ low)
-    return tuple(out)
 
 
 def facet_masks(items: tuple) -> tuple[list[int], int]:
@@ -379,43 +363,11 @@ def find_shelling_order(complex_: PureComplex) -> Optional[FacetSequence]:
 def dual_graph(seq: FacetSequence) -> LabeledGraph:
     """Positions i, j are adjacent iff the facets share all but one vertex.
 
-    Up to 8k facets the graph is its facet masks (``LabeledGraph._of_masks``):
-    ``has_edge`` and ``promotion.track`` read them, and the pair scan's
-    h(h - 1)/2 popcounts fill the rows only when they are read.  Timed
-    per graph on prefixes of grown and random k-subset sequences, that
-    scan and the ridge table break even near h = 13 for k = 2, 21–24 for
-    k = 3, 29–39 for k = 4 and 41–49 for k = 5: about 7k–10k.
-
-    Past 8k facets the rows are built at once (``LabeledGraph._of_rows``)
-    in ridge-incidence form: two distinct k-facets are adjacent iff they
-    contain a common (k - 1)-ridge (their intersection).  A first pass
-    ORs each position's bit into the holder mask of each of its k ridges
-    (its mask minus one vertex bit); row j is then the OR of the holder
-    masks of j's k ridges, minus bit j.  O(h·k) dictionary steps and
-    big-int ORs for h facets, however many edges there are.  With k = 1
-    every facet holds the empty ridge (all pairs adjacent); with k = 0
-    the one facet has no ridge.
+    The graph is its facet masks (``LabeledGraph._of_masks``); its rows
+    are built by the ridge table (``core._ridge_rows``) when first read.
     """
     masks, k = facet_masks(seq.items)
-    h = len(masks)
-    if h <= 8 * k:
-        return LabeledGraph._of_masks(h, masks, k)
-    rows = [0] * (h + 1)
-    holders: dict[int, int] = {}  # ridge mask -> bits of the positions holding it
-    get = holders.get
-    ridges: list[tuple[int, ...]] = []  # the ridge masks of each position
-    for j, mask in enumerate(masks, 1):
-        bit = 1 << j
-        own = _ridges(mask)
-        for ridge in own:
-            holders[ridge] = get(ridge, 0) | bit
-        ridges.append(own)
-    for j, own in enumerate(ridges, 1):
-        row = 0
-        for ridge in own:
-            row |= holders[ridge]
-        rows[j] = row & ~(1 << j)
-    return LabeledGraph._of_rows(h, rows)
+    return LabeledGraph._of_masks(len(masks), masks, k)
 
 
 def relabel(sigma: FlagTuple, seq: FacetSequence) -> FacetSequence:

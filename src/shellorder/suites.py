@@ -24,6 +24,7 @@ from .bruhat import (
     OrderKind,
     induced_covers,
     is_order_ideal,
+    linear_extensions,
     order_ideals,
     strictly_below_masks,
 )
@@ -49,7 +50,6 @@ from .shelling import (
     _append_ok,
     _append_tables,
     _tally_orders,
-    _walk_orders,
     facet_masks,
     is_shelling_order,
     shelling_orders,
@@ -569,16 +569,14 @@ def _hasse_vs_dual_setup(n: int, k: int):
             (a.mask & b.mask).bit_count() == k - 1 for a, b in cover_pairs
         )
 
-        def verdict(order: list[int]) -> Optional[str]:
-            seq = FacetSequence._trusted(tuple(elems[t] for t in order))
+        def verdict(seq: FacetSequence) -> Optional[str]:
             if not dual_ok:
                 return f"cover pair not a ridge pair in {_fmt_set(elems)}"
             if promote(seq, GraphKind.DUAL) != promote(seq, GraphKind.HASSE):
                 return f"promotions disagree on extension {_fmt_seq(seq)}"
             return None
 
-        below = strictly_below_masks(elems, OrderKind.GALE)
-        return _tally(verdict(order) for order in _walk_orders(below))
+        return _tally(map(verdict, linear_extensions(elems, OrderKind.GALE)))
 
     return len(supports), list(supports), check
 

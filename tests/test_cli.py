@@ -726,6 +726,14 @@ class TestVerifyCommand:
             f"passed: {samples}\nfailed: 0\n"
         )
 
+    def test_eq2_oracle_past_8k_passes(self, capsys):
+        # 96 of these 300 orders of 2-subsets are longer than 8k = 16:
+        # there one-pair moves are compared with promotion by row walk
+        argv = ["verify", "eq2-oracle", "--n", "8", "--k", "2", "--samples", "300",
+                "--max-facets", "24", "--seed", "1"]
+        assert main(argv) == 0
+        assert "instances: 300\nchecks: 300\npassed: 300\nfailed: 0\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "n, k", [("40", "20"), ("16", "8"), ("3", "5"), ("0", "1")]
     )

@@ -5,8 +5,9 @@ The references are the straightforward forms the kernels replaced: the
 pair-by-pair ridge scan for ``is_shelling_order``, the ridge-list test
 for ``_append_ok`` (and, for the corpora built with it, the growth
 sampler on facets and every permutation of each facet combination
-filtered by the pair scan), the pair scan for the ridge-incidence
-``dual_graph`` and the graph built from its edges for the rows-built one (and promotion
+filtered by the pair scan), the pair scan for ``dual_graph`` (its
+masks and its ridge-table rows) and the graph built from its edges for
+the rows-built Hasse graph (and promotion
 through the pair-scan graph for ``promote``, ``evacuate`` and
 ``promote_via_moves``), edge-set scans for ``LabeledGraph`` lookups
 and ``track``, one recursion per enumerator for the iterative order
@@ -27,6 +28,7 @@ plus grown shelling orders with and without a transposition that may
 break them.
 """
 
+import contextlib
 import functools
 import itertools
 import math
@@ -335,7 +337,7 @@ def test_is_shelling_order_matches_pair_scan(seq):
 def test_dual_graph_matches_pair_scan(seq):
     edges, rows = reference_dual_graph(seq)
     graph = dual_graph(seq)
-    # track and has_edge first: up to 8k facets they read the masks
+    # track and has_edge first: they read the masks (track up to 8k facets)
     assert track(graph) == reference_track(edges)
     span = range(-1, graph.order + 3)
     for a in span:
@@ -361,30 +363,48 @@ def rows_unset(graph):
     return False
 
 
+@contextlib.contextmanager
+def graphs_of_calls():
+    """Lists each graph that ``promotion.graph_of`` returns in the block
+    (``promote`` and ``elementary_move`` call it)."""
+    built = []
+    honest = promotion.graph_of
+
+    def recording(seq, kind):
+        built.append(honest(seq, kind))
+        return built[-1]
+
+    with mock.patch.object(promotion, "graph_of", recording):
+        yield built
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(any_sequences, wide_ksubset_sequences(), flag_sequences()))
 def test_dual_graph_of_masks_matches_pair_scan(seq):
-    # up to 8k facets the graph is its facet masks: track, has_edge,
-    # promote and elementary_move read them and leave the rows unset,
-    # and each of rows, edges, ==, hash, repr and pickling fills them
+    # the graph is its facet masks: has_edge and elementary_move read them
+    # and leave the rows unset at every length, and so do track and promote
+    # up to 8k facets; past 8k track fills them, and each of rows, edges,
+    # ==, hash, repr and pickling fills them
     k = len(seq.items[0])
-    seq = FacetSequence(seq.items[: max(1, 8 * k)])
     h = len(seq)
     edges, rows = reference_dual_graph(seq)
     graph = dual_graph(seq)
-    assert track(graph) == reference_track(edges)
     span = range(-1, h + 3)
     for a in span:
         for b in span:
             assert graph.has_edge(a, b) is ((min(a, b), max(a, b)) in edges)
-    assert promote(seq) == reference_promote(seq)
-    for i in range(1, h):
-        items = list(seq.items)
-        if (i, i + 1) not in edges:
-            items[i - 1], items[i] = items[i], items[i - 1]
-        assert elementary_move(seq, i) == FacetSequence(tuple(items))
-    # k = 0 has one facet, past 8k, so its rows are built at once
-    assert rows_unset(graph) is (k > 0)
+    with graphs_of_calls() as built:
+        for i in range(1, h):
+            items = list(seq.items)
+            if (i, i + 1) not in edges:
+                items[i - 1], items[i] = items[i], items[i - 1]
+            assert elementary_move(seq, i) == FacetSequence(tuple(items))
+        assert all(map(rows_unset, built))
+        assert promote(seq) == reference_promote(seq)
+    assert rows_unset(built[-1]) is (h <= 8 * k)
+    assert rows_unset(graph)
+    assert track(graph) == reference_track(edges)
+    assert rows_unset(graph) is (h <= 8 * k)
     assert graph.rows == rows
     assert dual_graph(seq).edges == edges
     want = LabeledGraph(h, edges)
@@ -393,6 +413,15 @@ def test_dual_graph_of_masks_matches_pair_scan(seq):
     assert repr(dual_graph(seq)) == repr(want)
     copy = pickle.loads(pickle.dumps(dual_graph(seq)))
     assert copy == want and copy.rows == rows and copy._masks is None
+
+
+def test_moves_past_8k_test_one_pair():
+    # a 60-facet order of 3-subsets is past 8k = 24: each move still reads
+    # one pair of facet masks and builds no rows
+    seq = grow_shelling_order(1, 9, 3, 60)
+    with graphs_of_calls() as built:
+        assert promote_via_moves(seq) == reference_promote_via_moves(seq)
+    assert len(built) == 59 and all(map(rows_unset, built))
 
 
 def test_hasse_graph_matches_the_pair_built_graph(bjorner):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from random import Random
 
 import pytest
@@ -124,6 +125,18 @@ class TestCoxeterMatroid:
         assert is_coxeter_matroid([FlagTuple(9, tuple(range(9, 0, -1)))])
         with pytest.raises(ValueError, match=r"got \|X\|·n! = 1·10! = 3628800$"):
             is_coxeter_matroid({KSubset(10, (1, 2))})
+
+    def test_list_path_keeps_no_image_keys(self):
+        # the six rearrangements of a permutation's first three entries (a
+        # coset of S_3) hold; a cache of image keys would hold up to 7!
+        coset = [FlagTuple(7, head + (4, 5, 6, 7)) for head in itertools.permutations((1, 2, 3))]
+        tracemalloc.start()
+        try:
+            assert is_coxeter_matroid(coset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_guard(self):
         # bounded by the |X|·n! image points, not by n: one facet of [9]
