@@ -71,6 +71,11 @@ class KSubset:
     members: tuple[int, ...]
     mask: int = field(init=False, repr=False, compare=False)
 
+    def __hash__(self) -> int:
+        # equal subsets have equal masks; the generated hash would build
+        # the (n, members) tuple on every call
+        return self.mask
+
     def __post_init__(self) -> None:
         _check_universe(self.n)
         members = tuple(sorted(self.members))
@@ -79,11 +84,11 @@ class KSubset:
             raise ValueError(f"duplicate member {least}")
         if members and (members[0] < 1 or members[-1] > self.n):
             raise ValueError(f"members {members} not within [{self.n}]")
-        object.__setattr__(self, "members", members)
+        _set_members(self, members)
         mask = 0
         for v in members:
             mask |= 1 << (v - 1)
-        object.__setattr__(self, "mask", mask)
+        _set_mask(self, mask)
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "KSubset":
@@ -116,17 +121,18 @@ class FlagTuple:
             raise ValueError(f"entries {entries} contain a repeat")
         if min(entries) < 1 or max(entries) > self.n:
             raise ValueError(f"entries {entries} not within [{self.n}]")
-        object.__setattr__(self, "entries", entries)
+        _set_entries(self, entries)
 
     @classmethod
     def _trusted(cls, n: int, entries: tuple) -> "FlagTuple":
-        """Wrap ``entries`` without re-validating them.
+        """Wrap ``entries`` without re-validating them; the slot setters
+        ``_set_tuple_n`` and ``_set_entries`` write the fields.
 
         Only for a tuple of distinct values of [n] known as such: an
         ordering of a validated ``KSubset``'s members (``barycentric``)."""
         y = object.__new__(cls)
-        object.__setattr__(y, "n", n)
-        object.__setattr__(y, "entries", entries)
+        _set_tuple_n(y, n)
+        _set_entries(y, entries)
         return y
 
     def is_permutation(self) -> bool:
@@ -162,7 +168,7 @@ class FlagVertexFacet:
         for small, big in zip(chain, chain[1:]):
             if small.mask & ~big.mask:
                 raise ValueError(f"{small.members} not nested in {big.members}")
-        object.__setattr__(self, "vertices", vertices)
+        _set_vertices(self, vertices)
 
     @property
     def n(self) -> int:
@@ -214,7 +220,7 @@ class PureComplex:
         facets = frozenset(self.facets)
         if facets:
             _check_homogeneous(facets, "complex")
-        object.__setattr__(self, "facets", facets)
+        _set_facets(self, facets)
 
     @classmethod
     def of(cls, facets: Iterable[Facet]) -> "PureComplex":
@@ -222,12 +228,13 @@ class PureComplex:
 
     @classmethod
     def _trusted(cls, facets: frozenset) -> "PureComplex":
-        """Wrap ``facets`` without re-validating them.
+        """Wrap ``facets`` without re-validating them; the slot setter
+        ``_set_facets`` writes the field.
 
         Only for a frozenset of facets of one alphabet, universe and size,
         checked as they were built (``cli.parse_input`` checks each line)."""
         complex_ = object.__new__(cls)
-        object.__setattr__(complex_, "facets", facets)
+        _set_facets(complex_, facets)
         return complex_
 
     def __len__(self) -> int:
@@ -253,11 +260,12 @@ class FacetSequence:
         if len(set(items)) != len(items):
             raise ValueError("facet sequence repeats a facet")
         _check_homogeneous(items, "sequence")
-        object.__setattr__(self, "items", items)
+        _set_items(self, items)
 
     @classmethod
     def _trusted(cls, items: tuple) -> "FacetSequence":
-        """Wrap ``items`` without re-validating them.
+        """Wrap ``items`` without re-validating them; the slot setter
+        ``_set_items`` writes the field.
 
         Only for items already known to form a valid sequence: a
         rearrangement or prefix of the items of a validated sequence, or
@@ -265,7 +273,7 @@ class FacetSequence:
         validated as a whole (the orders of ``shelling_orders``, the
         seeded corpus, family extensions, the lines ``cli.parse_input`` checked)."""
         seq = object.__new__(cls)
-        object.__setattr__(seq, "items", items)
+        _set_items(seq, items)
         return seq
 
     def support(self) -> frozenset:
@@ -321,7 +329,8 @@ class LabeledGraph:
 
     @classmethod
     def _of_rows(cls, order: int, rows: Iterable[int]) -> "LabeledGraph":
-        """Wrap adjacency rows without validating them.
+        """Wrap adjacency rows without validating them; ``__post_init__``
+        writes the fields with the slot setters.
 
         Only for the rows of a simple graph on {1, ..., order}, ``order``
         at least 1: ``order + 1`` entries, ``rows[0]`` 0, symmetric, no
@@ -333,17 +342,18 @@ class LabeledGraph:
     @classmethod
     def _of_masks(cls, order: int, masks: list[int], k: int) -> "LabeledGraph":
         """The dual graph of ``order`` distinct k-facets with these masks,
-        in position order; ``rows`` is left unset."""
+        in position order; ``rows`` is left unset.  ``__post_init__``
+        writes the other slots with the slot setters."""
         graph = object.__new__(cls)
         graph.__post_init__(order, None, (masks, k))
         return graph
 
     def __post_init__(self, order: int, rows: tuple | None, masks: tuple | None = None) -> None:
         """Set the fields; runs once per graph, from any constructor."""
-        object.__setattr__(self, "order", order)
+        _set_order(self, order)
         if rows is not None:
-            object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_masks", masks)
+            _set_rows(self, rows)
+        _set_graph_masks(self, masks)
 
     def __getattr__(self, name: str):
         # reached only when normal lookup fails: the unset rows of a graph
@@ -351,7 +361,7 @@ class LabeledGraph:
         if name != "rows":
             raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
         rows = _ridge_rows(self._masks[0])
-        object.__setattr__(self, "rows", rows)
+        _set_rows(self, rows)
         return rows
 
     @property
@@ -379,6 +389,22 @@ class LabeledGraph:
         if not 1 <= v <= self.order:
             return ()
         return tuple(_bits(self.rows[v]))
+
+
+# The slot setters of the value types, bound once: ``_set_items(seq,
+# items)`` writes the slot as ``object.__setattr__(seq, "items", items)``
+# does, without looking the name up on each call.  The classes' own
+# ``__setattr__`` still raises ``FrozenInstanceError`` for every name.
+_set_members = KSubset.__dict__["members"].__set__
+_set_mask = KSubset.__dict__["mask"].__set__
+_set_tuple_n = FlagTuple.__dict__["n"].__set__
+_set_entries = FlagTuple.__dict__["entries"].__set__
+_set_vertices = FlagVertexFacet.__dict__["vertices"].__set__
+_set_facets = PureComplex.__dict__["facets"].__set__
+_set_items = FacetSequence.__dict__["items"].__set__
+_set_order = LabeledGraph.__dict__["order"].__set__
+_set_rows = LabeledGraph.__dict__["rows"].__set__
+_set_graph_masks = LabeledGraph.__dict__["_masks"].__set__
 
 
 def _bits(mask: int) -> list[int]:

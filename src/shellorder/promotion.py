@@ -115,11 +115,14 @@ def promote_via_moves(seq: FacetSequence) -> FacetSequence:
 def r_promote(
     seq: FacetSequence, r: int, kind: GraphKind = GraphKind.DUAL
 ) -> FacetSequence:
-    """Promote the length-r prefix as a standalone sequence."""
+    """Promote the length-r prefix as a standalone sequence; at r = h,
+    the first r-promotion of ``evacuate``, that is the promotion itself."""
     items = seq.items
     h = len(items)
     if not 1 <= r <= h:
         raise ValueError(f"prefix length {r} not within [1, {h}]")
+    if r == h:
+        return promote(seq, kind)
     promoted = promote(FacetSequence._trusted(items[:r]), kind)
     return FacetSequence._trusted(promoted.items + items[r:])
 

@@ -54,20 +54,23 @@ class ShellingWitness:
     ) -> None:
         if holds == (failing is not None):
             raise ValueError("failing pair must be present exactly on failure")
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "certificates", certificates)
-        object.__setattr__(self, "failing", failing)
+        _set_holds(self, holds)
+        _set_certificates(self, certificates)
+        _set_failing(self, failing)
 
     @classmethod
     def _of_masks(
         cls, masks: list[int], k: int, failing: Optional[tuple[int, int]]
     ) -> "ShellingWitness":
         """The witness of the facet masks of a sequence whose verdict is
-        already decided: ``failing`` must be its least failing pair."""
+        already decided: ``failing`` must be its least failing pair.  The
+        slot setters (``_set_holds``, ``_set_failing``,
+        ``_set_witness_masks``) write the fields; ``certificates`` is
+        left unset."""
         witness = object.__new__(cls)
-        object.__setattr__(witness, "holds", failing is None)
-        object.__setattr__(witness, "failing", failing)
-        object.__setattr__(witness, "_masks", (masks, k))
+        _set_holds(witness, failing is None)
+        _set_failing(witness, failing)
+        _set_witness_masks(witness, (masks, k))
         return witness
 
     def __getattr__(self, name: str):
@@ -75,7 +78,7 @@ class ShellingWitness:
         if name != "certificates":
             raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
         certificates = _list_certificates(*self._masks)
-        object.__setattr__(self, "certificates", certificates)
+        _set_certificates(self, certificates)
         return certificates
 
     def __bool__(self) -> bool:
@@ -85,8 +88,19 @@ class ShellingWitness:
         return ShellingWitness, (self.holds, self.certificates, self.failing)
 
 
+# the witness's slot setters, bound once (as in ``core``)
+_set_holds = ShellingWitness.__dict__["holds"].__set__
+_set_certificates = ShellingWitness.__dict__["certificates"].__set__
+_set_failing = ShellingWitness.__dict__["failing"].__set__
+_set_witness_masks = ShellingWitness.__dict__["_masks"].__set__
+
+
 def facet_masks(items: tuple) -> tuple[list[int], int]:
-    """Bitmask encodings of set-like facets plus the common facet size."""
+    """Bitmask encodings of set-like facets plus the common facet size.
+
+    ``dual_graph`` and ``is_shelling_order`` read a KSubset sequence's
+    masks themselves, as this does, and call it for any other alphabet:
+    they run once per promotion, and the call costs as much as the read."""
     first = items[0]
     if isinstance(first, KSubset):
         return [f.mask for f in items], len(first.members)
@@ -121,7 +135,12 @@ def is_shelling_order(seq: FacetSequence) -> ShellingWitness:
     The certificates are not needed for the verdict: the witness lists
     them (O(h^2 k)) on their first read.
     """
-    masks, k = facet_masks(seq.items)
+    items = seq.items
+    first = items[0]
+    if type(first) is KSubset:  # the masks as they are; see facet_masks
+        masks, k = [f.mask for f in items], len(first.members)
+    else:
+        masks, k = facet_masks(items)
     held: set[int] = set()  # the ridges of the facets placed so far
     holders: dict[int, int] = {}  # vertex bit -> bits of the positions holding it
     get = holders.get
@@ -366,7 +385,12 @@ def dual_graph(seq: FacetSequence) -> LabeledGraph:
     The graph is its facet masks (``LabeledGraph._of_masks``); its rows
     are built by the ridge table (``core._ridge_rows``) when first read.
     """
-    masks, k = facet_masks(seq.items)
+    items = seq.items
+    first = items[0]
+    if type(first) is KSubset:  # the masks as they are; see facet_masks
+        masks, k = [f.mask for f in items], len(first.members)
+    else:
+        masks, k = facet_masks(items)
     return LabeledGraph._of_masks(len(masks), masks, k)
 
 

@@ -503,10 +503,20 @@ def _corpus(
 def _corpus_setup(n, k, max_facets, samples, seed, check_names):
     corpus = _corpus(n, k, max_facets, samples, seed)
     fns = [CORPUS_CHECKS[name] for name in check_names]
+    checks = len(fns)
 
     def check(i: int) -> tuple[int, int, Optional[str]]:
+        # ``_tally`` inlined: this runs once per corpus sequence
         seq = corpus[i]
-        return _tally(fn(seq) for fn in fns)
+        failures = 0
+        first = None
+        for fn in fns:
+            bad = fn(seq)
+            if bad is not None:
+                failures += 1
+                if first is None:
+                    first = bad
+        return checks, failures, first
 
     return len(corpus), range(len(corpus)), check
 

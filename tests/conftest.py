@@ -91,6 +91,64 @@ def apply_positions(sigma: tuple, seq: FacetSequence) -> FacetSequence:
     return FacetSequence(tuple(out))
 
 
+def reference_dual_graph(seq: FacetSequence):
+    """(edges, rows) of the dual graph by testing every pair of positions
+    for k - 1 shared vertices, on the facets' vertex sets (the members of
+    a KSubset, the chain of a flag-vertex facet), not their masks."""
+    items = seq.items
+    k = len(items[0])
+    vertex_sets = [set(f) for f in items]
+    h = len(items)
+    edges = frozenset(
+        (i + 1, j + 1)
+        for i in range(h)
+        for j in range(i + 1, h)
+        if len(vertex_sets[i] & vertex_sets[j]) == k - 1
+    )
+    rows = [0] * (h + 1)
+    for a, b in edges:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return edges, tuple(rows)
+
+
+def reference_neighbors(edges, v):
+    return tuple(sorted(b if a == v else a for a, b in edges if v in (a, b)))
+
+
+def reference_track(edges):
+    """From vertex 1, step to the least larger neighbour while there is one."""
+    vertices = [1]
+    while True:
+        v = vertices[-1]
+        bigger = [u for u in reference_neighbors(edges, v) if u > v]
+        if not bigger:
+            return tuple(vertices)
+        vertices.append(min(bigger))
+
+
+def reference_promote(seq: FacetSequence) -> FacetSequence:
+    """Promotion read off the track of ``reference_dual_graph``: each
+    position off the track moves down one place, each track position
+    moves to just below the next one, and the last moves to the end."""
+    h = len(seq)
+    path = reference_track(reference_dual_graph(seq)[0])
+    sigma = [p - 1 for p in range(1, h + 1)]  # position 1 is on the track
+    for a, b in zip(path, path[1:]):
+        sigma[a - 1] = b - 1
+    sigma[path[-1] - 1] = h
+    return apply_positions(tuple(sigma), seq)
+
+
+def reference_evacuate(seq: FacetSequence) -> FacetSequence:
+    """The chain of prefix promotions for r = h down to 2: each promotes
+    the length-r prefix as a sequence of its own and keeps the rest."""
+    for r in range(len(seq), 1, -1):
+        head = reference_promote(FacetSequence(seq.items[:r]))
+        seq = FacetSequence(head.items + seq.items[r:])
+    return seq
+
+
 def face_poset_order_complex(complex_: PureComplex) -> PureComplex:
     """Order complex of the face poset, built by walking maximal chains.
 

@@ -29,6 +29,7 @@ break them.
 """
 
 import contextlib
+import dataclasses
 import functools
 import itertools
 import math
@@ -37,7 +38,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shellorder import (
     FacetSequence,
@@ -95,7 +96,17 @@ from shellorder.suites import (
     random_corpus,
 )
 
-from conftest import apply_positions, fork_pool, grow_shelling_order, reference_append_ok
+from conftest import (
+    apply_positions,
+    fork_pool,
+    grow_shelling_order,
+    reference_append_ok,
+    reference_dual_graph,
+    reference_evacuate,
+    reference_neighbors,
+    reference_promote,
+    reference_track,
+)
 
 
 def reference_is_shelling_order(seq):
@@ -115,20 +126,6 @@ def reference_is_shelling_order(seq):
             else:
                 return False, tuple(certs), (i + 1, j + 1)
     return True, tuple(certs), None
-
-
-def reference_neighbors(edges, v):
-    return tuple(sorted(b if a == v else a for a, b in edges if v in (a, b)))
-
-
-def reference_track(edges):
-    vertices = [1]
-    while True:
-        v = vertices[-1]
-        bigger = [u for u in reference_neighbors(edges, v) if u > v]
-        if not bigger:
-            return tuple(vertices)
-        vertices.append(min(bigger))
 
 
 @st.composite
@@ -271,24 +268,6 @@ def test_promote_matches_the_position_permutation_on_bjorner(bjorner, kind):
 
 
 # --- the ridge-incidence dual graph against the pair scan ------------------
-
-
-def reference_dual_graph(seq):
-    """(edges, rows) by testing every pair of positions for k - 1 shared
-    vertices."""
-    masks, k = facet_masks(seq.items)
-    h = len(masks)
-    edges = frozenset(
-        (i + 1, j + 1)
-        for i in range(h)
-        for j in range(i + 1, h)
-        if (masks[i] & masks[j]).bit_count() == k - 1
-    )
-    rows = [0] * (h + 1)
-    for a, b in edges:
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    return edges, tuple(rows)
 
 
 @st.composite
@@ -435,17 +414,6 @@ def test_hasse_graph_matches_the_pair_built_graph(bjorner):
     assert graph == want and want == graph and hash(graph) == hash(want)
 
 
-def reference_promote(seq):
-    graph = LabeledGraph(len(seq), reference_dual_graph(seq)[0])
-    return apply_positions(promotion_permutation(graph), seq)
-
-
-def reference_evacuate(seq):
-    for r in range(len(seq), 1, -1):
-        seq = FacetSequence(reference_promote(FacetSequence(seq.items[:r])).items + seq.items[r:])
-    return seq
-
-
 def reference_promote_via_moves(seq):
     items = list(seq.items)
     k = len(items[0])
@@ -463,6 +431,78 @@ def test_long_promotions_match_the_pair_scan_graph(seed, n, k, h):
     assert promote(seq) == reference_promote(seq)
     assert evacuate(seq) == reference_evacuate(seq)
     assert promote_via_moves(seq) == reference_promote_via_moves(seq)
+
+
+@pytest.mark.parametrize("kind", list(GraphKind))
+@settings(max_examples=200, deadline=None)
+@given(seq=st.one_of(any_sequences, wide_ksubset_sequences()))
+def test_full_length_r_promotion_is_the_promotion(kind, seq):
+    # the first r-promotion of every evacuation; the Hasse diagram is of
+    # the Gale order, which flag-vertex facets do not carry
+    assume(kind is GraphKind.DUAL or isinstance(seq.items[0], KSubset))
+    assert r_promote(seq, len(seq), kind) == promote(seq, kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(any_sequences, wide_ksubset_sequences()))
+def test_evacuate_matches_the_prefix_promotion_chain(seq):
+    assert evacuate(seq) == reference_evacuate(seq)
+
+
+def assert_trusted_value_is_checked_value(trusted, checked):
+    # every field, and a name that is no field, refuses to be set or
+    # deleted before anything is read (a lazy slot is still unset) ...
+    for name in [f.name for f in dataclasses.fields(checked)] + ["_extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trusted, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(trusted, name)
+    # ... and the value is the checked one, before and after a pickle
+    back = pickle.loads(pickle.dumps(trusted))
+    for value in (trusted, back):
+        assert type(value) is type(checked)
+        assert value == checked and checked == value
+        assert hash(value) == hash(checked)
+    assert repr(trusted) == repr(checked)
+    # a frozenset's repr follows its table order, which a pickle round
+    # trip can change (the vertices of a flag-vertex facet), so the copy's
+    # repr is compared with a copy of the checked value
+    assert repr(back) == repr(pickle.loads(pickle.dumps(checked)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(any_sequences, wide_ksubset_sequences(), flag_sequences()))
+def test_trusted_constructors_match_the_checked_ones(seq):
+    # the constructors that write their slots without a check build the
+    # values that the checking constructors build from the same data
+    items = seq.items
+    h = len(items)
+    masks, k = facet_masks(items)
+    edges, rows = reference_dual_graph(seq)
+    holds, certificates, failing = reference_is_shelling_order(seq)
+    pairs = [
+        (lambda: FacetSequence._trusted(items), lambda: FacetSequence(items)),
+        (lambda: PureComplex._trusted(frozenset(items)), lambda: PureComplex(frozenset(items))),
+        (lambda: LabeledGraph._of_masks(h, masks, k), lambda: LabeledGraph(h, edges)),
+        (lambda: LabeledGraph._of_rows(h, rows), lambda: LabeledGraph(h, edges)),
+        (
+            lambda: ShellingWitness._of_masks(masks, k, failing),
+            lambda: ShellingWitness(holds, certificates, failing),
+        ),
+    ]
+    # the documented use of FlagTuple._trusted: an ordering of a
+    # KSubset's members
+    for f in items:
+        if isinstance(f, KSubset) and f.members:
+            for entries in (f.members, f.members[::-1]):
+                pairs.append(
+                    (
+                        lambda e=entries, n=f.n: FlagTuple._trusted(n, e),
+                        lambda e=entries, n=f.n: FlagTuple(n, e),
+                    )
+                )
+    for trusted, checked in pairs:
+        assert_trusted_value_is_checked_value(trusted(), checked())
 
 
 # --- the order walker against the recursions it replaced -------------------
