@@ -19,13 +19,17 @@ import bisect
 import functools
 import itertools
 import math
+import sys
+from array import array
 from enum import Enum
 from typing import Iterable, Iterator
 
 from .core import (
+    ExchangeWitness,
     FacetSequence,
     FlagTuple,
     KSubset,
+    MatroidVerdict,
     _bits,
     _check_homogeneous,
     _value_type,
@@ -313,6 +317,69 @@ def _lower_reflections(x: FlagTuple) -> Iterator[tuple]:
                 yield head + (a,) + tail[:j] + (b,) + tail[j + 1 :]
 
 
+# '0'/'1' digits to the bytes 0/1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _first_failures(
+    facets: tuple[KSubset, ...], rows: list[tuple]
+) -> tuple[array, tuple[MatroidVerdict, ...]]:
+    """One exchange axiom decided on every family mask X of the m facets,
+    from its demand rows: ``rows[x]`` holds x's demands (1 << y, i, ids),
+    and a family fails one iff it holds x and y and no id of ``ids``.
+    Counted from 1 in scan order (x ascending, then row order), demand d
+    has the verdict ``verdicts[d]``, failed on its witness (x, y, i);
+    ``verdicts[0]`` holds.  ``table[X]`` is the first demand that X fails,
+    or 0.
+
+    The families failing a demand form a subcube: as a 2^m-bit integer
+    (bit X for family X), the AND of the families holding x, holding y
+    and lacking each id of ``ids``.  Its families that no earlier demand
+    took take d, kept as bit planes (plane b holds the families whose d
+    has bit b), which are spread into the 16-bit entries at the end.
+    Each demand costs a few operations on 2^m-bit integers."""
+    m = len(facets)
+    size = 1 << m
+    holds = []  # holds[t]: the families that hold id t
+    for t in range(m):
+        run = 1 << t  # runs of 2^t families without id t, then with it
+        pattern, width = ((1 << run) - 1) << run, 2 * run
+        while width < size:
+            pattern |= pattern << width
+            width *= 2
+        holds.append(pattern)
+    verdicts = [MatroidVerdict(True)]
+    planes = [0] * sum(map(len, rows)).bit_length()
+    open_ = (1 << size) - 1  # the families that no demand has taken yet
+    for x, row in enumerate(rows):
+        for y_bit, i, ids in row:
+            y = y_bit.bit_length() - 1
+            d = len(verdicts)
+            verdicts.append(MatroidVerdict(False, ExchangeWitness(facets[x], facets[y], i)))
+            taken = open_ & holds[x] & holds[y]
+            for t in _bits(ids):
+                taken &= ~holds[t]
+            if not taken:
+                continue
+            open_ ^= taken
+            for b in _bits(d):
+                planes[b] |= taken
+    # written little-endian: byte 2X of the table from planes 0-7, byte
+    # 2X + 1 from planes 8-15
+    table = array("H", [0]) * size
+    entries = memoryview(table).cast("B")
+    for half in (0, 1):
+        lane = 0
+        for b, plane in enumerate(planes[8 * half : 8 * half + 8]):
+            digits = format(plane, f"0{size}b")[::-1].encode()  # family 0 first
+            lane |= int.from_bytes(digits.translate(_DIGIT_BYTES), "little") << b
+        entries[half::2] = lane.to_bytes(size, "little")
+    entries.release()
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table, tuple(verdicts)
+
+
 class KSubsetUniverse:
     """Every k-subset of [n], compiled once for the predicates that read a
     ``Family``.  A facet's id is its index in ``facets``, which are
@@ -333,10 +400,27 @@ class KSubsetUniverse:
     - ``quasi[x]``: the triples of ``exchange[x]`` with i > max(y\\x),
       the demands of quasi-exchange.
 
-    Built once per sweep; the tables take O(C(n, k)²·k²) integers.  A
-    table, compared by identity, as ``FlagTupleUniverse`` is."""
+    Per family mask X, ``exchange_first`` and ``quasi_first`` hold the
+    axiom's verdict on X as a pair (table, verdicts): ``verdicts[table[X]]``
+    (see ``_first_failures``).
 
-    __slots__ = ("facets", "masks", "id_of", "below", "lower_bytes", "exchange", "quasi")
+    The rows take O(m²·k²) integers for the m = C(n, k) facets, and the
+    two first-failure tables O(2^m): 2 MiB each at m = 20.  So only the
+    sweeps that read every family of the universe compile one; the
+    caller bounds m.  A table, compared by identity, as
+    ``FlagTupleUniverse`` is."""
+
+    __slots__ = (
+        "facets",
+        "masks",
+        "id_of",
+        "below",
+        "lower_bytes",
+        "exchange",
+        "quasi",
+        "exchange_first",
+        "quasi_first",
+    )
 
     def __init__(
         self,
@@ -347,9 +431,12 @@ class KSubsetUniverse:
         lower_bytes: list[list[int]],
         exchange: list[tuple],
         quasi: list[tuple],
+        exchange_first: tuple[array, tuple],
+        quasi_first: tuple[array, tuple],
     ) -> None:
         self.facets, self.masks, self.id_of, self.below = facets, masks, id_of, below
         self.lower_bytes, self.exchange, self.quasi = lower_bytes, exchange, quasi
+        self.exchange_first, self.quasi_first = exchange_first, quasi_first
 
     @classmethod
     def of(cls, n: int, k: int) -> "KSubsetUniverse":
@@ -379,7 +466,11 @@ class KSubsetUniverse:
             exchange.append(tuple(demands))
             quasi.append(tuple(quasi_demands))
         below = strictly_below_masks(list(facets), OrderKind.GALE)
-        return cls(facets, masks, id_of, below, lower_bytes, exchange, quasi)
+        exchange_first = _first_failures(facets, exchange)
+        quasi_first = _first_failures(facets, quasi)
+        return cls(
+            facets, masks, id_of, below, lower_bytes, exchange, quasi, exchange_first, quasi_first
+        )
 
 
 # n!·n!/(n-k)! image ids, one per permutation and tuple.  (6, 5) and

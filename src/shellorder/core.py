@@ -102,6 +102,31 @@ class KSubset:
 
 
 @_value_type
+class ExchangeWitness:
+    """A failed exchange: no partner in second for ``element`` of first."""
+
+    first: KSubset
+    second: KSubset
+    element: int
+
+
+@_value_type
+class MatroidVerdict:
+    """The verdict of an exchange axiom: its witness is the first failed
+    exchange, present exactly when the axiom fails."""
+
+    holds: bool
+    witness: ExchangeWitness | None = None
+
+    def __post_init__(self) -> None:
+        if self.holds == (self.witness is not None):
+            raise ValueError("witness must be present exactly when the axiom fails")
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+
+@_value_type
 class FlagTuple:
     """A tuple of pairwise distinct values of {1, ..., n}; order matters.
 
@@ -176,6 +201,12 @@ class FlagVertexFacet:
 
     def chain(self) -> tuple[KSubset, ...]:
         return tuple(sorted(self.vertices, key=len))
+
+    def __repr__(self) -> str:
+        # the vertices in chain order: the frozenset's own repr follows its
+        # table order, which a pickle round trip can change
+        vertices = ", ".join(map(repr, self.chain()))
+        return f"FlagVertexFacet(vertices=frozenset({{{vertices}}}))"
 
     def __len__(self) -> int:
         return len(self.vertices)

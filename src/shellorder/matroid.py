@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .bruhat import (
     Family,
@@ -22,7 +22,15 @@ from .bruhat import (
     _order_of,
     prefix_projection,
 )
-from .core import FlagTuple, KSubset, PureComplex, _bits, _value_type, canonical_key
+from .core import (
+    ExchangeWitness,
+    FlagTuple,
+    KSubset,
+    MatroidVerdict,
+    PureComplex,
+    _bits,
+    canonical_key,
+)
 
 
 # The list path keys each of the |X|·n! image points afresh and keeps
@@ -32,28 +40,6 @@ from .core import FlagTuple, KSubset, PureComplex, _bits, _value_type, canonical
 # past the bound, and all of S_7 as tuples (25,401,600) would take well
 # over a minute (CLI runs, 2-vCPU x86-64 VM, CPython 3.11).
 MAXIMALITY_MAX_POINTS = 3_000_000
-
-
-@_value_type
-class ExchangeWitness:
-    """A failed exchange: no partner in second for ``element`` of first."""
-
-    first: KSubset
-    second: KSubset
-    element: int
-
-
-@_value_type
-class MatroidVerdict:
-    holds: bool
-    witness: Optional[ExchangeWitness] = None
-
-    def __post_init__(self) -> None:
-        if self.holds == (self.witness is not None):
-            raise ValueError("witness must be present exactly when the axiom fails")
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 def _sorted_ksubsets(facets: Iterable) -> list[KSubset]:
@@ -75,11 +61,13 @@ def _exchange(facets: Iterable[KSubset], quasi: bool) -> MatroidVerdict:
     trades against y iff ``reach[i] & (y\\x)``.  The first failure, over
     x, then y, then i ascending, is the witness.
 
-    A ``Family`` of a ``KSubsetUniverse`` is decided on its universe's
-    exchange rows: the same demands in the same order, each one AND with
-    the family mask."""
+    A ``Family`` of a ``KSubsetUniverse`` is decided by one read of its
+    universe's first-failure table for the axiom, compiled from its
+    exchange rows: the same demands, and the same first failure."""
     if isinstance(facets, Family) and isinstance(facets.universe, KSubsetUniverse):
-        return _exchange_on_family(facets, quasi)
+        universe = facets.universe
+        table, verdicts = universe.quasi_first if quasi else universe.exchange_first
+        return verdicts[table[facets.mask]]
     elems = _sorted_ksubsets(facets)
     masks = [x.mask for x in elems]
     present = set(masks)
@@ -111,21 +99,6 @@ def _exchange(facets: Iterable[KSubset], quasi: bool) -> MatroidVerdict:
                 if not reach[bit] & gain:
                     return MatroidVerdict(False, ExchangeWitness(x, y, bit.bit_length()))
                 lost ^= bit
-    return MatroidVerdict(True)
-
-
-def _exchange_on_family(family: Family, quasi: bool) -> MatroidVerdict:
-    universe, members = family.universe, family.mask
-    demands = universe.quasi if quasi else universe.exchange
-    rest = members
-    while rest:  # the ids x of the members, ascending
-        x_bit = rest & -rest
-        rest ^= x_bit
-        for y_bit, i, ids in demands[x_bit.bit_length() - 1]:
-            if members & y_bit and not ids & members:
-                x = universe.facets[x_bit.bit_length() - 1]
-                y = universe.facets[y_bit.bit_length() - 1]
-                return MatroidVerdict(False, ExchangeWitness(x, y, i))
     return MatroidVerdict(True)
 
 

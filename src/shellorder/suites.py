@@ -61,7 +61,7 @@ from .subdivision import barycentric, flag_facet
 # bounded before any facet is listed.  (6, 3) has the most facets of
 # any shape with 1 < k < n - 1 inside; past n = 6 only k in {0, 1,
 # n - 1, n} is, and extensions-shell at (20, 19) and (20, 1), the
-# slowest shapes inside, takes 21 and 16 s at --jobs 1 (2-vCPU x86-64
+# slowest shapes inside, takes 23 and 19 s at --jobs 1 (2-vCPU x86-64
 # VM, CPython 3.11).
 KSUBSET_MAX_FACETS = 20
 # conf-ideals-flagshell lists the n!/(n - k)! tuples, bounded before any
@@ -262,10 +262,8 @@ def _sweep(suite: str, setup, shape: tuple, jobs: int) -> RunReport:
 # instance count includes the empty family.
 
 
-def _ksubset_universe(n: int, k: int) -> tuple[KSubsetUniverse, int, range]:
-    """The k-subsets of [n], compiled once per sweep (each check reads
-    their tables, and forked workers inherit them), the instance count
-    and every nonempty family.  The C(n, k) facets are bounded by
+def _ksubset_facets(n: int, k: int) -> tuple[KSubset, ...]:
+    """The k-subsets of [n] in canonical order, their C(n, k) bounded by
     ``KSUBSET_MAX_FACETS`` before any is listed."""
     _check_universe(n)
     facets = math.comb(n, k)
@@ -274,6 +272,15 @@ def _ksubset_universe(n: int, k: int) -> tuple[KSubsetUniverse, int, range]:
             f"k-subset sweeps are bounded at {KSUBSET_MAX_FACETS} facets, "
             f"got C(n, k) = C({n}, {k}) = {facets}"
         )
+    return tuple(all_ksubsets(n, k))
+
+
+def _ksubset_universe(n: int, k: int) -> tuple[KSubsetUniverse, int, range]:
+    """The k-subsets of [n], compiled once per sweep (each check reads
+    their tables, and forked workers inherit them), the instance count
+    and every nonempty family.  Only the sweeps that read every family
+    compile it: its tables take O(2^C(n, k))."""
+    _ksubset_facets(n, k)  # the bound, before the universe lists the facets
     universe = KSubsetUniverse.of(n, k)
     size = 1 << len(universe.facets)
     return universe, size, range(1, size)
@@ -558,8 +565,8 @@ CORPUS_SUITES = {
 def _hasse_vs_dual_setup(n: int, k: int):
     # the families: every nonempty down-set of the k-subset quotient, in
     # ascending order, then every interval that is not one of them
-    universe, _, _ = _ksubset_universe(n, k)
-    facets, below = universe.facets, universe.below
+    facets = _ksubset_facets(n, k)
+    below = strictly_below_masks(list(facets), OrderKind.GALE)
     m = len(facets)
     above = [0] * m
     for t, row in enumerate(below):

@@ -6,7 +6,15 @@ from random import Random
 
 import pytest
 
-from shellorder import FacetSequence, FlagVertexFacet, KSubset, PureComplex, suites
+from shellorder import (
+    ExchangeWitness,
+    FacetSequence,
+    FlagVertexFacet,
+    KSubset,
+    MatroidVerdict,
+    PureComplex,
+    suites,
+)
 
 
 def make_ksubset(n: int, digits: str) -> KSubset:
@@ -34,6 +42,25 @@ def reference_append_ok(placed, cand, k):
         if not any(need & ~r == 0 for r in ridges):
             return False
     return True
+
+
+def reference_exchange_on_family(family, quasi: bool) -> MatroidVerdict:
+    """The per-family scan that the first-failure tables replaced: the
+    demands of the family's universe (``quasi`` or ``exchange`` rows), x
+    ascending over the members and then in row order, each tested by
+    ANDs with the family mask; the first one failed is the witness."""
+    universe, members = family.universe, family.mask
+    demands = universe.quasi if quasi else universe.exchange
+    rest = members
+    while rest:  # the ids x of the members, ascending
+        x_bit = rest & -rest
+        rest ^= x_bit
+        for y_bit, i, ids in demands[x_bit.bit_length() - 1]:
+            if members & y_bit and not ids & members:
+                x = universe.facets[x_bit.bit_length() - 1]
+                y = universe.facets[y_bit.bit_length() - 1]
+                return MatroidVerdict(False, ExchangeWitness(x, y, i))
+    return MatroidVerdict(True)
 
 
 def grow_shelling_order(seed: int, n: int, k: int, h: int) -> FacetSequence:

@@ -13,7 +13,8 @@ through the pair-scan graph for ``promote``, ``evacuate`` and
 and ``track``, one recursion per enumerator for the iterative order
 walker, separate basis-exchange and quasi-exchange scans for the shared
 exchange routine, the list path of the exchange and Gale down-set
-predicates for their path on families of a compiled universe, pairwise
+predicates for their path on families of a compiled universe, the
+per-family demand scan for the first-failure exchange tables, pairwise
 ``leq`` scans for the dominance-row order kernels and the
 greatest-element scan, the scan of the whole ambient
 quotient for the local down-set test, and, for the per-family kernels of
@@ -103,6 +104,7 @@ from conftest import (
     reference_append_ok,
     reference_dual_graph,
     reference_evacuate,
+    reference_exchange_on_family,
     reference_neighbors,
     reference_promote,
     reference_track,
@@ -874,10 +876,10 @@ def test_family_verdicts_match_the_list_path_on_every_family(n, k):
 
 
 @st.composite
-def wide_families(draw):
-    """A family of (6, 2) or (6, 3), or the Gale down-closure of one:
+def wide_families(draw, shapes=((6, 2), (6, 3))):
+    """A family of one of ``shapes``, or the Gale down-closure of one:
     most families lack quasi-exchange, and every down-set has it."""
-    n, k = draw(st.sampled_from([(6, 2), (6, 3)]))
+    n, k = draw(st.sampled_from(shapes))
     m = math.comb(n, k)
     if draw(st.booleans()):
         return n, k, draw(st.integers(0, (1 << m) - 1))
@@ -935,6 +937,40 @@ def test_exchange_tables_drop_exactly_the_self_partnered_demands(n, k):
                     kept_quasi.append(demand)
         assert universe.exchange[x] == tuple(kept)
         assert universe.quasi[x] == tuple(kept_quasi)
+
+
+def assert_tables_match_the_scan(family):
+    # whole verdicts, witness included: the first failed demand
+    assert has_quasi_exchange(family) == reference_exchange_on_family(family, quasi=True)
+    assert is_matroid(family) == reference_exchange_on_family(family, quasi=False)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (5, 3), (6, 2)])
+def test_first_failure_tables_match_the_demand_scan_on_every_family(n, k):
+    universe = compiled_universe(n, k)
+    for mask in range(1 << len(universe.facets)):
+        assert_tables_match_the_scan(Family(universe, mask))
+
+
+@given(wide_families(shapes=[(6, 3)]))
+@settings(max_examples=300, deadline=None)
+def test_first_failure_tables_match_the_demand_scan_on_random_families(case):
+    n, k, mask = case
+    assert_tables_match_the_scan(Family(compiled_universe(n, k), mask))
+
+
+def test_hasse_vs_dual_compiles_no_exchange_table(monkeypatch):
+    # it reads the facets and their Gale rows only, never the 2^m tables
+    want = suites.hasse_vs_dual(5, 2)
+
+    def refuse(cls, n, k):
+        raise AssertionError("a KSubsetUniverse was compiled")
+
+    monkeypatch.setattr(KSubsetUniverse, "of", classmethod(refuse))
+    got = suites.hasse_vs_dual(5, 2)
+    assert dataclasses.replace(got, duration=0) == dataclasses.replace(want, duration=0)
+    with pytest.raises(AssertionError, match="KSubsetUniverse was compiled"):
+        suites.extensions_shell(4, 2)
 
 
 @pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (5, 3), (6, 3)])

@@ -1,4 +1,5 @@
 import math
+import pickle
 from random import Random
 
 import pytest
@@ -228,3 +229,19 @@ def test_interval_subdivides_to_interval():
                     if conf_leq(asc, y) and conf_leq(y, desc)
                 }
                 assert got == want, (lo, hi)
+
+
+def test_flag_facet_repr_survives_a_pickle_round_trip():
+    # the repr lists the vertices in chain order: a frozenset's own repr
+    # follows its table order, which a round trip can change
+    facets = [
+        flag_facet(y) for n in range(1, 6) for k in range(1, n + 1) for y in all_flag_tuples(n, k)
+    ]
+    assert len(facets) == 409
+    for facet in facets:
+        back = pickle.loads(pickle.dumps(facet))
+        assert back == facet and repr(back) == repr(facet)
+    assert repr(chain(4, "23", "2")) == (
+        "FlagVertexFacet(vertices=frozenset({KSubset(n=4, members=(2,)), "
+        "KSubset(n=4, members=(2, 3))}))"
+    )
